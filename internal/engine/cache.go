@@ -129,11 +129,11 @@ func (c *PlanCache) Install(recs []*strategy.PlanRecord) (int, error) {
 			}
 			continue
 		}
-		key := planKey(w, Config{
+		plan.Key = planKey(w, Config{
 			Strategy:     strategy.Cluster{MaxMerges: rec.MaxMerges},
 			QueryWeights: rec.Weights,
 		})
-		c.put(key, plan)
+		c.put(plan.Key, plan)
 		n++
 	}
 	return n, firstErr

@@ -95,4 +95,25 @@
 // same cube) skip planning entirely.
 // The cache is a bounded LRU and safe for concurrent use; hits return the
 // identical plan the first run used, so caching never changes output.
+//
+// # Answer memo
+//
+// The exact strategy answers S·x depend only on the data and the plan,
+// never on ε, the Step-2 budgets or the seed. When x is sealed
+// (vector.Blocked.Seal — the dataset store seals every version it
+// installs), the default Measurer memoizes them on x under the plan's Key,
+// which Planner sets to the plan-cache key, so a later fresh-seed or
+// other-ε release of the same plan over x skips the transform and pays
+// only for noise, recovery and consistency. The memo copies the answers in
+// before noise is added and copies them out into a fresh z, so the release
+// is bit-identical to an unmemoized run. Its lifetime is one dataset
+// version: it hangs off the sealed vector, and an append or replace
+// installs a new vector with an empty memo. It holds at most Len()/4
+// floats, evicting least-recently-used entries, and never stores answers
+// with as many rows as x has cells (Identity). It lives in memory only:
+// nothing persists, snapshots or logs it. The engine never writes its
+// input vector, which is what keeps a memoized answer valid for the
+// version's lifetime. Unsealed inputs and caller-supplied Measure stages
+// (such as the fabric's) never consult it; the measure span reports
+// answers=memo or answers=computed.
 package engine

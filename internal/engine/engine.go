@@ -391,29 +391,31 @@ type Planner struct {
 // Plan implements PlanStage. The cache lookup is free, so it happens even
 // under a cancelled context; only a cache miss — the expensive Step-1
 // search — is gated on ctx.
+//
+// Every plan it returns carries the plan-cache key as strategy.Plan.Key,
+// with or without a cache, so the measure stage can memoize its answers.
 func (p Planner) Plan(ctx context.Context, w *marginal.Workload, cfg Config) (*strategy.Plan, error) {
 	sp := telemetry.SpanFrom(ctx)
+	key := planKey(w, cfg)
 	if p.Cache != nil {
-		key := planKey(w, cfg)
 		if plan, ok := p.Cache.get(key); ok {
 			sp.Annotate("plan_cache", "hit")
 			return plan, nil
 		}
 		sp.Annotate("plan_cache", "miss")
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		plan, err := p.planOnce(ctx, w, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.Cache.put(key, plan)
-		return plan, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.planOnce(ctx, w, cfg)
+	plan, err := p.planOnce(ctx, w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	plan.Key = key
+	if p.Cache != nil {
+		p.Cache.put(key, plan)
+	}
+	return plan, nil
 }
 
 // planOnce runs the Step-1 search itself, under a detail span so a cold
@@ -513,6 +515,13 @@ func verifyPrivacy(specs []budget.Spec, eta []float64, p noise.Params) error {
 // blocked vector in the fixed noiseBlock partition — the shard count never
 // touches a substream boundary, so the release is bit-identical at every
 // (workers, shards) setting.
+//
+// When x is sealed (a dataset-store version) and the plan carries a Key,
+// the exact answers S·x are memoized on x (vector.Memo) before any noise
+// is added, and later runs of the same plan over x copy them instead of
+// recomputing: S·x depends on neither ε, the budgets nor the seed, so the
+// release is bit-identical either way. Plans with at least as many rows as
+// x has cells (Identity) are never memoized.
 type Measurer struct{}
 
 // Measure implements MeasureStage.
@@ -520,21 +529,42 @@ func (Measurer) Measure(ctx context.Context, plan *strategy.Plan, x *vector.Bloc
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	rows := plan.Rows()
+	sharded := shards > 1 && plan.AnswerBlock != nil
+	// Only answers smaller than x are worth keeping: for S = I they are a
+	// copy of x itself.
+	var memo *vector.Memo
+	if plan.Key != "" && rows < x.Len() {
+		memo = x.Memo()
+	}
+	sp := telemetry.SpanFrom(ctx)
 	var z *vector.Blocked
-	if shards > 1 && plan.AnswerBlock != nil {
-		z = vector.New(plan.Rows(), shards)
-		if err := answerBlocks(ctx, plan, x, z, workers); err != nil {
-			return nil, err
+	if exact, ok := memo.Get(plan.Key); ok {
+		sp.Annotate("answers", "memo")
+		if sharded {
+			z = vector.New(rows, shards)
+			z.Scatter(exact)
+		} else {
+			z = vector.FromDense(append([]float64(nil), exact...))
 		}
 	} else {
-		z = vector.FromDense(plan.TrueAnswers(x, workers))
+		sp.Annotate("answers", "computed")
+		if sharded {
+			z = vector.New(rows, shards)
+			if err := answerBlocks(ctx, plan, x, z, workers); err != nil {
+				return nil, err
+			}
+		} else {
+			z = vector.FromDense(plan.TrueAnswers(x, workers))
+		}
+		memo.Put(plan.Key, z)
 	}
 	offsets := plan.GroupOffsets()
 	groups := make([]NoiseGroup, len(plan.Specs))
 	for g, spec := range plan.Specs {
 		groups[g] = NoiseGroup{Start: offsets[g], Count: spec.Count, Eta: eta[g]}
 	}
-	psp := telemetry.SpanFrom(ctx).StartDetail("perturb")
+	psp := sp.StartDetail("perturb")
 	psp.AnnotateInt("groups", int64(len(groups)))
 	err := PerturbVectorContext(ctx, z, groups, cfg.Privacy, cfg.Seed, workers)
 	psp.End()

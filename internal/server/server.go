@@ -452,6 +452,9 @@ func (s *Server) registerCollectors() {
 	planEntries := s.tele.Gauge("dpcubed_plan_cache_entries", "Plans resident in the cache.")
 	datasets := s.tele.Gauge("dpcubed_datasets_resident", "Datasets resident in the store.")
 	datasetCells := s.tele.Gauge("dpcubed_dataset_cells", "Total contingency cells across resident datasets.")
+	memoHits := s.tele.Gauge("dpcubed_answer_memo_hits", "Releases that reused memoized exact strategy answers, over resident dataset versions.")
+	memoMisses := s.tele.Gauge("dpcubed_answer_memo_misses", "Releases that computed exact strategy answers on a sealed dataset, over resident dataset versions.")
+	memoFloats := s.tele.Gauge("dpcubed_answer_memo_floats", "Float64s held by the answer memos of resident dataset versions.")
 	inflight := s.tele.Gauge("dpcubed_inflight_requests", "Routed requests currently in a handler.")
 	var resHits, resMisses, resEntries *telemetry.Gauge
 	if s.results != nil {
@@ -473,6 +476,9 @@ func (s *Server) registerCollectors() {
 		st := s.store.Stats()
 		datasets.Set(float64(st.Datasets))
 		datasetCells.Set(float64(st.TotalCells))
+		memoHits.Set(float64(st.Memo.Hits))
+		memoMisses.Set(float64(st.Memo.Misses))
+		memoFloats.Set(float64(st.Memo.Floats))
 		inflight.Set(float64(s.inflight.Load()))
 		if s.results != nil {
 			rs := s.results.Stats()
@@ -1588,10 +1594,6 @@ func validateSpec(req *releaseRequest) error {
 // cold-starts may both plan; the loser's work is not wasted because both
 // share s.cache, and only one Releaser is registered.
 func (s *Server) releaser(ctx context.Context, schema *repro.Schema, req *releaseRequest) (*repro.Releaser, error) {
-	w, err := workloadOf(schema, req.Workload)
-	if err != nil {
-		return nil, err
-	}
 	kind, err := strategyKind(req.Strategy)
 	if err != nil {
 		return nil, err
@@ -1601,7 +1603,13 @@ func (s *Server) releaser(ctx context.Context, schema *repro.Schema, req *releas
 	r, ok := s.releasers[key]
 	s.mu.Unlock()
 	if ok {
+		// The key pins the workload spec, which resolved without error
+		// when this Releaser was built.
 		return r, nil
+	}
+	w, err := workloadOf(schema, req.Workload)
+	if err != nil {
+		return nil, err
 	}
 	// No ledger is attached: admission is the server's job (s.charge), a
 	// single point that knows the caller's key — Releasers here are pure
@@ -1885,8 +1893,8 @@ func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []
 // attached fabric coordinator can distribute the stages (inline rows and
 // counts carry no dataset identity for the worker handshake, so they
 // always run locally — bit-identical either way). The cube endpoint stays
-// local too: its mechanism runs one sub-release per cuboid through its own
-// pipeline, below the granularity the fabric ships.
+// local too: it calls repro.ReleaseCubeBlockedContext, one engine run over
+// the lattice workload with no Releaser, so no fabric stages are attached.
 func (s *Server) release(r *http.Request, rel *repro.Releaser, req *releaseRequest, x *repro.BlockedVector, h *store.Handle) (*repro.Result, error) {
 	if h != nil {
 		return rel.ReleaseDataset(r.Context(), h, s.spec(req))
@@ -1943,9 +1951,10 @@ func (s *Server) shards(requested int) int {
 // When the endpoint runs through a Releaser (release, synthetic) and the
 // request is Gaussian (δ > 0), rel threads the allocator's effective σ into
 // the charge, so zCDP composition bills the exact mechanism ρ = 1/(2σ²)
-// rather than the (ε, δ) conversion bound. The cube endpoint passes nil —
-// its mechanism splits the budget across cuboid sub-releases internally, so
-// no single allocator σ describes it and the conversion stays in force.
+// rather than the (ε, δ) conversion bound. The cube endpoint passes nil:
+// it runs one engine run over the lattice workload without a Releaser, so
+// nothing reports that run's allocator σ and the conversion bound, which
+// is never below the exact ρ, stays in force.
 func (s *Server) charge(r *http.Request, rel *repro.Releaser, req *releaseRequest, defaultLabel string) error {
 	label := req.Label
 	if label == "" {

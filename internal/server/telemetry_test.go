@@ -375,3 +375,57 @@ func TestFabricWorkerLogCorrelation(t *testing.T) {
 		t.Fatalf("worker logs carry no fabric task with the coordinator's request ID:\n%s", workerLogs.String())
 	}
 }
+
+// TestAnswerMemoObservability: a fresh-seed release over a dataset reports
+// on its measure span whether it paid for the exact strategy answers, and
+// /v1/metrics exposes the store's memo counters in JSON and Prometheus.
+func TestAnswerMemoObservability(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	// Six 4-ary attributes: 2^12 cells, so the 1-way answers fit the
+	// memo's Len()/4 bound.
+	var nd strings.Builder
+	nd.WriteString(`{"schema":[`)
+	for i := 0; i < 6; i++ {
+		if i > 0 {
+			nd.WriteByte(',')
+		}
+		nd.WriteString(`{"name":"a` + string(rune('0'+i)) + `","cardinality":4}`)
+	}
+	nd.WriteString("]}\n")
+	for i := 0; i < 200; i++ {
+		row, _ := json.Marshal([]int{i % 4, i / 4 % 4, i / 16 % 4, i / 3 % 4, i / 5 % 4, i / 7 % 4})
+		nd.Write(row)
+		nd.WriteByte('\n')
+	}
+	if rec := putDataset(t, s, "wide", nd.String()); rec.Code != http.StatusCreated {
+		t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
+	}
+	type timed struct {
+		Timing *telemetry.SpanJSON `json:"timing"`
+	}
+	for i, want := range []string{"computed", "memo"} {
+		rec := post(t, s, "/v1/release", datasetBody("wide", map[string]any{"debug_timing": true, "seed": i}))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("release %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+		var got string
+		for _, sp := range decode[timed](t, rec).Timing.Spans {
+			if sp.Name == "measure" {
+				got = sp.Attrs["answers"]
+			}
+		}
+		if got != want {
+			t.Fatalf("release %d: measure answers=%q, want %q", i, got, want)
+		}
+	}
+	m := decode[metricsResponse](t, do(t, s, http.MethodGet, "/v1/metrics"))
+	if ms := m.Datasets.Memo; ms.Hits != 1 || ms.Misses != 1 || ms.Floats == 0 {
+		t.Fatalf("datasets.memo = %+v, want 1 hit, 1 miss, resident floats", ms)
+	}
+	body := do(t, s, http.MethodGet, "/v1/metrics?format=prometheus").Body.String()
+	for _, want := range []string{"dpcubed_answer_memo_hits 1", "dpcubed_answer_memo_misses 1", "dpcubed_answer_memo_floats "} {
+		if !strings.Contains(body, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+}

@@ -36,6 +36,19 @@
 // release racing a DELETE finishes against the data it admitted — it is
 // never torn between versions.
 //
+// # Answer memo
+//
+// Every installed counts vector is sealed (vector.Blocked.Seal), which
+// attaches an in-memory memo of exact strategy answers S·x that the
+// engine's measure stage fills and reuses across releases of one plan
+// (see the engine package). Its lifetime is one dataset version: append,
+// replace and delete install or drop whole Datasets, so the old memo dies
+// with the old vector and no invalidation hook is needed. It holds at most
+// a quarter of the vector's cell count in floats, and it is never
+// persisted, snapshotted or logged — it is derived from counts the store
+// already holds. The engine never writes the vectors it reads; Stats
+// reports the memos' hits, misses and resident floats.
+//
 // # Snapshot persistence
 //
 // With a directory configured, every ingested dataset is persisted as a

@@ -103,7 +103,8 @@ func (h *Handle) Schema() *dataset.Schema { return h.d.schema }
 // sharded form. The storage is shared by every handle over this dataset and
 // by the engine reading it: treat it as read-only. (Copying 2^d floats per
 // release would defeat the upload-once design; the engine's measure/recover
-// stages never write to their input vector.)
+// stages never write to their input vector.) The vector is sealed, so the
+// engine memoizes exact strategy answers on it for this dataset version.
 func (h *Handle) Vector() *vector.Blocked { return h.d.counts }
 
 // DenseCounts gathers a handle's contingency vector into one dense 2^d
@@ -178,6 +179,10 @@ type Stats struct {
 	TotalCells    int   `json:"total_cells"`
 	TotalRows     int64 `json:"total_rows"`
 	ActiveHandles int64 `json:"active_handles"`
+	// Memo sums the answer memos (see vector.Memo) of the resident dataset
+	// versions: lookups that skipped or paid for S·x, and float64s held.
+	// A version that leaves the registry takes its counts with it.
+	Memo vector.MemoStats `json:"memo"`
 }
 
 // Open builds a Store. With cfg.Dir set, the directory is created if needed
@@ -223,6 +228,7 @@ func Open(cfg Config) (*Store, error) {
 		s.verSeq++
 		d.version = s.verSeq
 		d.fprint = fingerprintDataset(d.schema, d.counts)
+		d.counts.Seal()
 		s.datasets[d.id] = d
 	}
 	return s, nil
@@ -399,6 +405,7 @@ func (s *Store) registerWhen(d *Dataset, expect *Dataset, conditional bool) (Inf
 	// Content hash before taking the lock: it walks every cell, and nothing
 	// it reads can change (the Dataset is not yet published).
 	d.fprint = fingerprintDataset(d.schema, d.counts)
+	d.counts.Seal()
 	var tmp string
 	if s.cfg.Dir != "" {
 		var err error
@@ -553,6 +560,10 @@ func (s *Store) Stats() Stats {
 		st.TotalCells += d.counts.Len()
 		st.TotalRows += d.rows
 		st.ActiveHandles += d.refs.Load()
+		ms := d.counts.Memo().Stats()
+		st.Memo.Hits += ms.Hits
+		st.Memo.Misses += ms.Misses
+		st.Memo.Floats += ms.Floats
 	}
 	return st
 }

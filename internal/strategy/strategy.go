@@ -74,6 +74,12 @@ type Plan struct {
 	// without re-running it. Strategies whose planning is cheap leave it
 	// nil — there is nothing worth persisting.
 	Persist *PlanRecord
+	// Key, when non-empty, identifies S itself: plans with equal keys
+	// compute the same S·x for every x. engine.Planner sets it to the
+	// plan-cache key, and the engine's measure stage memoizes exact
+	// answers under it on sealed input vectors (vector.Blocked.Seal).
+	// Strategies leave it empty, which disables that memoization.
+	Key string
 }
 
 // Answers is TrueAnswers over a dense vector, serially — the convenience

@@ -44,6 +44,7 @@ type Blocked struct {
 	n        int
 	blockLen int
 	blocks   [][]float64
+	memo     *Memo // non-nil once sealed
 }
 
 // New returns a zeroed vector of length n split into the given number of
