@@ -32,8 +32,8 @@ import (
 	"syscall"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/noise"
 	"repro/internal/strategy"
 )
@@ -234,16 +234,16 @@ func printPreview(w *repro.Workload, epsilon, delta float64, uniform bool) {
 	if delta > 0 {
 		p.Type, p.Delta = noise.ApproxDP, delta
 	}
-	budgeting := core.OptimalBudget
+	budgeting := engine.OptimalBudget
 	if uniform {
-		budgeting = core.UniformBudget
+		budgeting = engine.UniformBudget
 	}
 	fmt.Printf("forecast at ε=%g (%s budgets): per-cell σ averaged over marginals\n", epsilon, budgeting)
 	fmt.Printf("%-10s %14s %16s\n", "strategy", "mean cell σ", "total variance")
 	for _, s := range []strategy.Strategy{
 		strategy.Fourier{}, strategy.Workload{}, strategy.Identity{}, strategy.Cluster{},
 	} {
-		fc, err := core.Preview(w, core.Config{Strategy: s, Budgeting: budgeting, Privacy: p})
+		fc, err := engine.Preview(w, engine.Config{Strategy: s, Budgeting: budgeting, Privacy: p})
 		if err != nil {
 			fatal(err)
 		}

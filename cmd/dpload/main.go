@@ -87,11 +87,11 @@ func main() {
 		},
 	}
 	if *benchmem != "" {
-		bm, err := parseBenchmem(*benchmem)
+		bm, cpu, err := parseBenchmem(*benchmem)
 		if err != nil {
 			fatal(err)
 		}
-		rep.Benchmem = bm
+		rep.Benchmem, rep.Config.CPU = bm, cpu
 	}
 
 	if *rps > 0 && *duration > 0 {
@@ -198,6 +198,10 @@ type runConfig struct {
 	Attrs       int     `json:"attrs"`
 	Epsilon     float64 `json:"epsilon"`
 	ColdPlans   bool    `json:"cold_plans,omitempty"`
+	// CPU is the GOMAXPROCS (go test -cpu) every -benchmem input ran at:
+	// allocs/op depends on it through worker-pool fan-out, so a gate is
+	// only meaningful at one fixed value.
+	CPU int `json:"cpu,omitempty"`
 }
 
 type requestStats struct {
@@ -621,14 +625,17 @@ func percentiles(all []sample) latencyStats {
 //
 //	BenchmarkWHTKernel1M/blocked-8  170  7031082 ns/op  2 B/op  0 allocs/op
 //
-// keyed by benchmark name with the -GOMAXPROCS suffix stripped.
-func parseBenchmem(path string) (map[string]benchLine, error) {
+// keyed by benchmark name with the -GOMAXPROCS suffix stripped. The
+// stripped suffix (absent means 1) is returned as cpu; inputs that mix
+// GOMAXPROCS values are an error, since their allocs/op do not compare.
+func parseBenchmem(path string) (map[string]benchLine, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	out := map[string]benchLine{}
+	cpu := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -636,12 +643,16 @@ func parseBenchmem(path string) (map[string]benchLine, error) {
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		name := fields[0]
+		name, n := fields[0], 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if v, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, n = name[:i], v
 			}
 		}
+		if cpu != 0 && n != cpu {
+			return nil, 0, fmt.Errorf("%s: benchmarks ran at mixed GOMAXPROCS (-%d and -%d); run them all with one go test -cpu value", path, cpu, n)
+		}
+		cpu = n
 		var bl benchLine
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -661,7 +672,7 @@ func parseBenchmem(path string) (map[string]benchLine, error) {
 			out[name] = bl
 		}
 	}
-	return out, sc.Err()
+	return out, cpu, sc.Err()
 }
 
 // compareAllocs checks the current report's allocs/op against a baseline

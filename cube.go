@@ -2,9 +2,11 @@ package repro
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/datacube"
 	"repro/internal/synth"
+	"repro/internal/vector"
 )
 
 // CubeRelease is a private datacube: noisy, mutually consistent cuboids
@@ -18,55 +20,58 @@ type CubeLattice = datacube.Lattice
 // with at most maxOrder attributes. The released cuboids are mutually
 // consistent: rolling a child cuboid up always reproduces its released
 // ancestor exactly, so the cube behaves like a real OLAP cube downstream.
+//
+// A cube is the marginal workload of its cuboid lattice, so this is a thin
+// wrapper over a throwaway Releaser for that workload; every Options field
+// applies as it does to Release, except SkipConsistency, which a cube
+// refuses with ErrInvalidOption.
 func ReleaseCube(t *Table, maxOrder int, o Options) (*CubeRelease, error) {
-	return ReleaseCubeContext(context.Background(), t, maxOrder, o)
-}
-
-// ReleaseCubeContext is ReleaseCube under a context: cancellation aborts
-// the release engine mid-run (see Releaser.Release for the service-oriented
-// marginal API; cube releases share its engine and plan cache plumbing).
-func ReleaseCubeContext(ctx context.Context, t *Table, maxOrder int, o Options) (*CubeRelease, error) {
-	if err := validatePrivacy(o.Epsilon, o.Delta); err != nil {
+	if t == nil || t.Schema == nil {
+		return nil, fmt.Errorf("%w: nil table or schema", ErrInvalidOption)
+	}
+	x, err := t.Vector()
+	if err != nil {
 		return nil, err
 	}
-	return datacube.ReleaseContext(ctx, t, maxOrder, o.cubeOptions())
+	return ReleaseCubeBlockedContext(context.Background(), t.Schema, vector.FromDense(x), maxOrder, o)
 }
 
-// ReleaseCubeVectorContext is ReleaseCubeContext for callers who already
-// hold the aggregated contingency vector — the upload-once path used by the
-// dataset store, where the relation was vectorised at ingestion and every
-// cube release skips straight to the mechanism. Bit-identical to the table
-// path over the same data and seed.
-func ReleaseCubeVectorContext(ctx context.Context, schema *Schema, counts []float64, maxOrder int, o Options) (*CubeRelease, error) {
-	if err := validatePrivacy(o.Epsilon, o.Delta); err != nil {
-		return nil, err
-	}
-	return datacube.ReleaseVectorContext(ctx, schema, counts, maxOrder, o.cubeOptions())
-}
-
-// ReleaseCubeBlockedContext is ReleaseCubeVectorContext for a sharded
-// contingency vector (a dataset-store aggregate): the cube runs without the
-// vector ever being gathered into one dense slice, bit-identical to the
-// dense path over the same cells.
+// ReleaseCubeBlockedContext is ReleaseCube for callers holding the
+// aggregated contingency vector in sharded form (a dataset-store
+// aggregate): the cube runs without the vector ever being gathered into
+// one dense slice, bit-identical to the table path over the same cells.
+// Cancellation aborts the release engine mid-run.
 func ReleaseCubeBlockedContext(ctx context.Context, schema *Schema, counts *BlockedVector, maxOrder int, o Options) (*CubeRelease, error) {
-	if err := validatePrivacy(o.Epsilon, o.Delta); err != nil {
+	if o.SkipConsistency {
+		return nil, fmt.Errorf("%w: a cube promises mutually consistent cuboids; SkipConsistency is not allowed", ErrInvalidOption)
+	}
+	if schema == nil {
+		return nil, fmt.Errorf("%w: nil schema", ErrInvalidOption)
+	}
+	l, err := datacube.NewLattice(schema, maxOrder)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidOption, err)
+	}
+	r, err := NewReleaser(schema, l.Workload(), o.releaserOptions()...)
+	if err != nil {
 		return nil, err
 	}
-	return datacube.ReleaseBlockedContext(ctx, schema, counts, maxOrder, o.cubeOptions())
-}
-
-// cubeOptions maps the flat Options onto the datacube layer's options.
-func (o Options) cubeOptions() datacube.Options {
-	return datacube.Options{
-		Epsilon:       o.Epsilon,
-		Delta:         o.Delta,
-		UniformBudget: o.UniformBudget,
-		Seed:          o.Seed,
-		Strategy:      o.Strategy.impl(),
-		Workers:       o.Workers,
-		Shards:        o.Shards,
-		Cache:         o.Cache,
+	res, err := r.ReleaseBlocked(ctx, counts, o.spec())
+	if err != nil {
+		return nil, err
 	}
+	// The release's tables are in lattice order: cuboid i is table i.
+	cube := &CubeRelease{
+		Lattice:       l,
+		Tables:        make([][]float64, len(res.Tables)),
+		CellVariance:  make([]float64, len(res.Tables)),
+		TotalVariance: res.TotalVariance,
+	}
+	for i, t := range res.Tables {
+		cube.Tables[i] = t.Cells
+		cube.CellVariance[i] = t.Variance
+	}
+	return cube, nil
 }
 
 // SyntheticData converts a consistent release into row-level synthetic

@@ -1,8 +1,12 @@
 package repro
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/datacube"
 )
 
 func retailTable() *Table {
@@ -45,6 +49,87 @@ func TestReleaseCubeStrategies(t *testing.T) {
 		if e := cube.ConsistencyError(); e > 1e-6 {
 			t.Fatalf("%v: consistency error %v", k, e)
 		}
+	}
+}
+
+// TestReleaseCubeModifyNeighbors: a cube under the modify-one-tuple
+// neighbour model is the Releaser over the lattice workload with
+// WithModifyNeighbors — bit for bit, for the table and the blocked entry
+// points — and, with sensitivity doubled, carries exactly the variance of
+// the add/remove cube at half the budget.
+func TestReleaseCubeModifyNeighbors(t *testing.T) {
+	tab := retailTable()
+	cube, err := ReleaseCube(tab, 2, Options{Epsilon: 1, Seed: 8, ModifyNeighbors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := datacube.NewLattice(tab.Schema, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReleaser(tab.Schema, l.Workload(), WithModifyNeighbors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := r.Release(context.Background(), tab, ReleaseSpec{Epsilon: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := tab.Vector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked, err := ReleaseCubeBlockedContext(context.Background(), tab.Schema, NewBlockedVector(x), 2,
+		Options{Epsilon: 1, Seed: 8, ModifyNeighbors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*CubeRelease{cube, blocked} {
+		if math.Float64bits(got.TotalVariance) != math.Float64bits(want.TotalVariance) {
+			t.Fatalf("total variance %v, Releaser %v", got.TotalVariance, want.TotalVariance)
+		}
+		for i, wt := range want.Tables {
+			if math.Float64bits(got.CellVariance[i]) != math.Float64bits(wt.Variance) {
+				t.Fatalf("cuboid %d variance %v, Releaser %v", i, got.CellVariance[i], wt.Variance)
+			}
+			for c, v := range wt.Cells {
+				if math.Float64bits(got.Tables[i][c]) != math.Float64bits(v) {
+					t.Fatalf("cuboid %d cell %d = %v, Releaser %v", i, c, got.Tables[i][c], v)
+				}
+			}
+		}
+	}
+	half, err := ReleaseCube(tab, 2, Options{Epsilon: 0.5, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(cube.TotalVariance-half.TotalVariance) > 1e-12*half.TotalVariance {
+		t.Fatalf("modify-neighbour cube variance %v, add/remove cube at ε/2 %v", cube.TotalVariance, half.TotalVariance)
+	}
+	full, err := ReleaseCube(tab, 2, Options{Epsilon: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cube.TotalVariance <= full.TotalVariance {
+		t.Fatalf("modify-neighbour cube variance %v not above add/remove %v at the same ε", cube.TotalVariance, full.TotalVariance)
+	}
+}
+
+// TestReleaseCubeRejectsSkipConsistency: a cube promises mutually
+// consistent cuboids, so asking to skip the projection is an invalid
+// option on every entry point, not a silently different release.
+func TestReleaseCubeRejectsSkipConsistency(t *testing.T) {
+	tab := retailTable()
+	o := Options{Epsilon: 1, SkipConsistency: true}
+	if _, err := ReleaseCube(tab, 1, o); !errors.Is(err, ErrInvalidOption) {
+		t.Fatalf("ReleaseCube: err %v, want ErrInvalidOption", err)
+	}
+	x, err := tab.Vector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReleaseCubeBlockedContext(context.Background(), tab.Schema, NewBlockedVector(x), 1, o); !errors.Is(err, ErrInvalidOption) {
+		t.Fatalf("ReleaseCubeBlockedContext: err %v, want ErrInvalidOption", err)
 	}
 }
 

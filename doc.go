@@ -39,7 +39,8 @@
 //
 // The historical one-shot entry points (Release, ReleaseVector,
 // ReleaseCube, SyntheticData) remain as thin wrappers over a throwaway
-// Releaser.
+// Releaser. A datacube of order ≤ m is just the marginal workload of its
+// cuboid lattice, so ReleaseCube is a Releaser over that workload too.
 //
 // # Budget accounting
 //
@@ -115,6 +116,11 @@
 //	POST /v1/synthetic  {"dataset_id":"people","workload":{"k":1},"epsilon":0.5}
 //	GET  /v1/budget     — the caller's spend against its cap (plus the global view)
 //	GET  /v1/metrics    — per-endpoint counters, per-key spend, cache and store stats
+//
+// The three release-shaped endpoints share one pipeline and one registry
+// of Releasers: they differ only in the workload (the request's spec, or
+// the cuboid lattice up to max_order), one extra request check, and how
+// the release renders.
 //
 // The daemon is multi-tenant: with API keys configured (dpcubed
 // -api-keys, or server.Config.APIKeys) every request authenticates and
@@ -245,8 +251,9 @@
 // The internal packages follow the paper's structure: internal/strategy
 // (Step 1), internal/budget (Step 2, Section 3.1), internal/recovery and
 // internal/consistency (Step 3, Sections 3.2–3.3 and 4.3), internal/engine
-// (the staged mechanism) with internal/core as its stable facade and
-// internal/vector as the sharded-vector substrate, internal/accountant
+// (the staged mechanism, which every release reaches through a Releaser)
+// with internal/vector as the sharded-vector substrate, internal/datacube
+// (the cuboid lattice and OLAP navigation), internal/accountant
 // (the ledger under BudgetLedger), internal/server (the HTTP layer), and
 // internal/linalg, internal/lp, internal/transform, internal/noise,
 // internal/bits and internal/dataset as self-contained substrates. See

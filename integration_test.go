@@ -8,8 +8,8 @@ import (
 	"repro/internal/accountant"
 	"repro/internal/bits"
 	"repro/internal/consistency"
-	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/marginal"
 	"repro/internal/noise"
 	"repro/internal/strategy"
@@ -31,10 +31,10 @@ func TestAllStrategiesConvergeToTruth(t *testing.T) {
 		strategy.Identity{}, strategy.Workload{}, strategy.Fourier{},
 		strategy.Cluster{}, strategy.HierarchyMarginal{},
 	} {
-		for _, b := range []core.Budgeting{core.UniformBudget, core.OptimalBudget} {
-			rel, err := core.Run(w, x, core.Config{
+		for _, b := range []engine.Budgeting{engine.UniformBudget, engine.OptimalBudget} {
+			rel, err := engine.New(engine.Options{Workers: 1}).Run(w, x, engine.Config{
 				Strategy: s, Budgeting: b,
-				Consistency: core.WeightedL2Consistency,
+				Consistency: engine.WeightedL2Consistency,
 				Privacy:     noise.Params{Type: noise.PureDP, Epsilon: 1e9, Neighbor: noise.AddRemove},
 				Seed:        1,
 			})
@@ -59,9 +59,9 @@ func TestConsistencyIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := marginal.SchemaKWay(tab.Schema, 2)
-	rel, err := core.Run(w, x, core.Config{
-		Strategy: strategy.Workload{}, Budgeting: core.OptimalBudget,
-		Consistency: core.L2Consistency,
+	rel, err := engine.New(engine.Options{Workers: 1}).Run(w, x, engine.Config{
+		Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget,
+		Consistency: engine.L2Consistency,
 		Privacy:     noise.Params{Type: noise.PureDP, Epsilon: 0.5, Neighbor: noise.AddRemove},
 		Seed:        2,
 	})
@@ -160,16 +160,16 @@ func TestFailureInjection(t *testing.T) {
 
 	cases := []struct {
 		name string
-		cfg  core.Config
+		cfg  engine.Config
 		data []float64
 	}{
-		{"nil strategy", core.Config{Privacy: pure}, x},
-		{"zero epsilon", core.Config{Strategy: strategy.Fourier{}, Privacy: noise.Params{}}, x},
-		{"short data", core.Config{Strategy: strategy.Fourier{}, Privacy: pure}, x[:5]},
-		{"bad delta", core.Config{Strategy: strategy.Fourier{}, Privacy: noise.Params{Type: noise.ApproxDP, Epsilon: 1, Delta: 2}}, x},
+		{"nil strategy", engine.Config{Privacy: pure}, x},
+		{"zero epsilon", engine.Config{Strategy: strategy.Fourier{}, Privacy: noise.Params{}}, x},
+		{"short data", engine.Config{Strategy: strategy.Fourier{}, Privacy: pure}, x[:5]},
+		{"bad delta", engine.Config{Strategy: strategy.Fourier{}, Privacy: noise.Params{Type: noise.ApproxDP, Epsilon: 1, Delta: 2}}, x},
 	}
 	for _, c := range cases {
-		if _, err := core.Run(w, c.data, c.cfg); err == nil {
+		if _, err := engine.New(engine.Options{Workers: 1}).Run(w, c.data, c.cfg); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
@@ -189,17 +189,17 @@ func TestSeedIsolation(t *testing.T) {
 	tab := dataset.SyntheticBinary(5, 8, 500)
 	x, _ := tab.Vector()
 	w := marginal.SchemaKWay(tab.Schema, 1)
-	cfg := core.Config{
-		Strategy: strategy.Fourier{}, Budgeting: core.OptimalBudget,
+	cfg := engine.Config{
+		Strategy: strategy.Fourier{}, Budgeting: engine.OptimalBudget,
 		Privacy: noise.Params{Type: noise.PureDP, Epsilon: 0.5, Neighbor: noise.AddRemove},
 	}
 	cfg.Seed = 1
-	a, err := core.Run(w, x, cfg)
+	a, err := engine.New(engine.Options{Workers: 1}).Run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	b, err := core.Run(w, x, cfg)
+	b, err := engine.New(engine.Options{Workers: 1}).Run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,8 @@ func TestWorkloadSubsetMonotonicity(t *testing.T) {
 	small := marginal.MustWorkload(8, []bits.Mask{0b00000011, 0b00001100})
 	big := marginal.MustWorkload(8, []bits.Mask{0b00000011, 0b00001100, 0b00110000, 0b11000000})
 	run := func(w *marginal.Workload) float64 {
-		rel, err := core.Run(w, x, core.Config{
-			Strategy: strategy.Workload{}, Budgeting: core.OptimalBudget, Privacy: pure, Seed: 3,
+		rel, err := engine.New(engine.Options{Workers: 1}).Run(w, x, engine.Config{
+			Strategy: strategy.Workload{}, Budgeting: engine.OptimalBudget, Privacy: pure, Seed: 3,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ var SeedFlow = &Analyzer{
 	Packages: []string{
 		"internal/engine", "internal/strategy", "internal/vector",
 		"internal/consistency", "internal/transform", "internal/fabric",
-		"internal/recovery", "internal/core", "internal/synth",
+		"internal/recovery", "internal/synth",
 		"internal/rangequery", "internal/datacube", "internal/marginal",
 		"internal/budget", "internal/bits", "internal/linalg", "internal/lp",
 		"internal/store", "internal/rescache", "internal/server",

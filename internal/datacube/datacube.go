@@ -1,28 +1,26 @@
 // Package datacube models the object in the paper's title: the lattice of
-// all marginals (cuboids) of a relation, released privately and navigated
-// with the usual OLAP operations.
+// all marginals (cuboids) of a relation, and the OLAP operations over a
+// released cube.
 //
 // A cuboid is a marginal over a subset of the schema's attributes; the set
 // of cuboids ordered by attribute-set inclusion forms the datacube lattice.
-// Releasing the cuboids up to a chosen order through the paper's mechanism
-// yields noisy tables that are *mutually consistent* — any roll-up of a
-// released child cuboid reproduces its released ancestor exactly — which is
-// what makes the released cube usable by downstream OLAP tooling.
+// The package holds no mechanism: a cube of order ≤ m is just the marginal
+// workload Lattice.Workload, released by the same three steps as any other
+// workload (see repro.ReleaseCube, or a repro.Releaser built over that
+// workload). Released wraps such a release — weighted-L2 consistency makes
+// its cuboids mutually consistent, so any roll-up of a released child
+// cuboid reproduces its released ancestor exactly — and navigates it with
+// Cuboid, RollUp, Slice and Dice, which is what makes the released cube
+// usable by downstream OLAP tooling.
 package datacube
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/bits"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/marginal"
-	"repro/internal/noise"
-	"repro/internal/strategy"
-	"repro/internal/vector"
 )
 
 // Cuboid identifies one lattice node by its attribute index set (sorted).
@@ -147,26 +145,6 @@ func (l *Lattice) Children(i int) []int {
 	return out
 }
 
-// Options configures a cube release.
-type Options struct {
-	Epsilon       float64
-	Delta         float64
-	UniformBudget bool
-	Seed          int64
-	// Strategy defaults to Fourier (the scalable choice for a cube of
-	// overlapping cuboids); strategy.Workload reproduces the S = Q baseline.
-	Strategy strategy.Strategy
-	// Workers bounds the engine's worker pool (0 = all CPUs); the released
-	// cube is bit-identical at every setting.
-	Workers int
-	// Shards bounds the measure stage's answer partitioning (see
-	// engine.Options.Shards); bit-identical at every setting.
-	Shards int
-	// Cache optionally reuses the lattice workload's strategy plan across
-	// repeated cube releases over the same schema.
-	Cache *engine.PlanCache
-}
-
 // Released is a private datacube: noisy, mutually consistent cuboids.
 type Released struct {
 	Lattice *Lattice
@@ -177,81 +155,6 @@ type Released struct {
 	CellVariance []float64
 	// TotalVariance is the analytic mechanism objective.
 	TotalVariance float64
-}
-
-// Release privately materialises every cuboid of order ≤ maxOrder.
-func Release(t *dataset.Table, maxOrder int, o Options) (*Released, error) {
-	return ReleaseContext(context.Background(), t, maxOrder, o)
-}
-
-// ReleaseContext is Release under a context: cancellation aborts the
-// staged engine mid-run.
-func ReleaseContext(ctx context.Context, t *dataset.Table, maxOrder int, o Options) (*Released, error) {
-	x, err := t.Vector()
-	if err != nil {
-		return nil, err
-	}
-	return ReleaseVectorContext(ctx, t.Schema, x, maxOrder, o)
-}
-
-// ReleaseVectorContext is ReleaseContext for callers who already hold the
-// aggregated contingency vector — the dataset store's upload-once path,
-// which skips re-vectorising the relation on every cube request. The
-// release is bit-identical to the rows path over the same data: the vector
-// is exactly what Table.Vector would have produced.
-func ReleaseVectorContext(ctx context.Context, s *dataset.Schema, x []float64, maxOrder int, o Options) (*Released, error) {
-	if len(x) != s.DomainSize() {
-		return nil, fmt.Errorf("datacube: vector has %d entries, domain needs %d", len(x), s.DomainSize())
-	}
-	return ReleaseBlockedContext(ctx, s, vector.FromDense(x), maxOrder, o)
-}
-
-// ReleaseBlockedContext is ReleaseVectorContext for a sharded contingency
-// vector (the dataset store's aggregate): the cube release runs without
-// ever gathering the vector into one dense slice, bit-identical to the
-// dense path over the same cells.
-func ReleaseBlockedContext(ctx context.Context, s *dataset.Schema, x *vector.Blocked, maxOrder int, o Options) (*Released, error) {
-	l, err := NewLattice(s, maxOrder)
-	if err != nil {
-		return nil, err
-	}
-	if x == nil || x.Len() != s.DomainSize() {
-		got := 0
-		if x != nil {
-			got = x.Len()
-		}
-		return nil, fmt.Errorf("datacube: vector has %d entries, domain needs %d", got, s.DomainSize())
-	}
-	w := l.Workload()
-	p := noise.Params{Type: noise.PureDP, Epsilon: o.Epsilon, Neighbor: noise.AddRemove}
-	if o.Delta > 0 {
-		p.Type, p.Delta = noise.ApproxDP, o.Delta
-	}
-	budgeting := core.OptimalBudget
-	if o.UniformBudget {
-		budgeting = core.UniformBudget
-	}
-	strat := o.Strategy
-	if strat == nil {
-		strat = strategy.Fourier{}
-	}
-	rel, err := core.RunVectorContext(ctx, w, x, core.Config{
-		Strategy:    strat,
-		Budgeting:   budgeting,
-		Consistency: core.WeightedL2Consistency,
-		Privacy:     p,
-		Seed:        o.Seed,
-	}, engine.Options{Workers: o.Workers, Shards: o.Shards, Cache: o.Cache})
-	if err != nil {
-		return nil, err
-	}
-	out := &Released{
-		Lattice:       l,
-		Tables:        core.PerMarginal(w, rel.Answers),
-		CellVariance:  rel.CellVariances,
-		TotalVariance: rel.TotalVariance,
-	}
-	return out, nil
 }
 
 // Cuboid returns the released table for an attribute set.

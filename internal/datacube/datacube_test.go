@@ -1,12 +1,12 @@
-package datacube
+package datacube_test
 
 import (
 	"math"
 	"testing"
 
+	"repro"
+	"repro/internal/datacube"
 	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/strategy"
 )
 
 func testTable() *dataset.Table {
@@ -24,7 +24,7 @@ func testTable() *dataset.Table {
 
 func TestLatticeEnumeration(t *testing.T) {
 	tab := testTable()
-	l, err := NewLattice(tab.Schema, 2)
+	l, err := datacube.NewLattice(tab.Schema, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,21 +35,21 @@ func TestLatticeEnumeration(t *testing.T) {
 	if len(l.Cuboids[0].Attrs) != 0 {
 		t.Fatal("first cuboid must be the apex")
 	}
-	full, err := NewLattice(tab.Schema, 3)
+	full, err := datacube.NewLattice(tab.Schema, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full.Cuboids) != 8 {
 		t.Fatalf("full lattice has %d cuboids, want 8", len(full.Cuboids))
 	}
-	if _, err := NewLattice(tab.Schema, 4); err == nil {
+	if _, err := datacube.NewLattice(tab.Schema, 4); err == nil {
 		t.Fatal("order beyond attribute count accepted")
 	}
 }
 
 func TestLatticeNavigation(t *testing.T) {
 	tab := testTable()
-	l, _ := NewLattice(tab.Schema, 2)
+	l, _ := datacube.NewLattice(tab.Schema, 2)
 	i := l.Find(0, 2)
 	if i < 0 {
 		t.Fatal("cuboid (0,2) missing")
@@ -73,7 +73,7 @@ func TestLatticeNavigation(t *testing.T) {
 
 func TestReleaseConsistentCube(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 3})
+	rel, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReleaseConsistentCube(t *testing.T) {
 
 func TestReleaseWorkloadStrategyAlsoConsistent(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 4, Strategy: strategy.Workload{}})
+	rel, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 4, Strategy: repro.StrategyWorkload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestReleaseWorkloadStrategyAlsoConsistent(t *testing.T) {
 
 func TestCuboidAccess(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 5, Seed: 5})
+	rel, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCuboidAccess(t *testing.T) {
 
 func TestRollUpMatchesReleasedParent(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 6})
+	rel, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRollUpMatchesReleasedParent(t *testing.T) {
 
 func TestSlice(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 10, Seed: 7})
+	rel, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 10, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSliceComplementarity(t *testing.T) {
 	// Slices over all values of the fixed attribute must sum to the parent
 	// roll-up (mass preservation within the cuboid).
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 1, Seed: 8})
+	rel, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSliceComplementarity(t *testing.T) {
 
 func TestDice(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 1, Options{Epsilon: 10, Seed: 9})
+	rel, err := repro.ReleaseCube(tab, 1, repro.Options{Epsilon: 10, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestDice(t *testing.T) {
 
 func TestUniformVsOptimalCube(t *testing.T) {
 	tab := testTable()
-	uni, err := Release(tab, 2, Options{Epsilon: 1, Seed: 10, UniformBudget: true})
+	uni, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 10, UniformBudget: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Release(tab, 2, Options{Epsilon: 1, Seed: 10})
+	opt, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestUniformVsOptimalCube(t *testing.T) {
 
 func TestApproxDPCube(t *testing.T) {
 	tab := testTable()
-	if _, err := Release(tab, 1, Options{Epsilon: 1, Delta: 1e-6, Seed: 11}); err != nil {
+	if _, err := repro.ReleaseCube(tab, 1, repro.Options{Epsilon: 1, Delta: 1e-6, Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,7 +251,7 @@ func BenchmarkCubeReleaseOrder2(b *testing.B) {
 	tab := testTable()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Release(tab, 2, Options{Epsilon: 1, Seed: int64(i)}); err != nil {
+		if _, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,7 +264,7 @@ func BenchmarkCubeReleaseOrder2(b *testing.B) {
 // read ≈100 per remaining b value.
 func TestSliceOnAttributeZero(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 2, Options{Epsilon: 10, Seed: 12})
+	rel, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 10, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestSliceOnAttributeZero(t *testing.T) {
 // a silent 0 — asserted against the apex cuboid lookup and plausibility.
 func TestTotalReadsApexDirectly(t *testing.T) {
 	tab := testTable()
-	rel, err := Release(tab, 1, Options{Epsilon: 2, Seed: 13})
+	rel, err := repro.ReleaseCube(tab, 1, repro.Options{Epsilon: 2, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,13 +314,13 @@ func TestTotalReadsApexDirectly(t *testing.T) {
 // worker counts and unaffected by a plan cache.
 func TestCubeParallelDeterminism(t *testing.T) {
 	tab := testTable()
-	ref, err := Release(tab, 2, Options{Epsilon: 1, Seed: 14, Workers: 1})
+	ref, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 14, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := engine.NewPlanCache(0)
+	cache := repro.NewPlanCache()
 	for _, workers := range []int{2, 4} {
-		got, err := Release(tab, 2, Options{Epsilon: 1, Seed: 14, Workers: workers, Cache: cache})
+		got, err := repro.ReleaseCube(tab, 2, repro.Options{Epsilon: 1, Seed: 14, Workers: workers, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

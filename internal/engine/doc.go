@@ -15,9 +15,10 @@
 //	           per-marginal transforms, per-coefficient weighted average
 //	           and reconstruction sharded across the same pool.
 //
-// Engine.Run wires the stages together; internal/core re-exports it under
-// the historical Run signature, and Engine.RunVector is the entry for
-// callers holding a sharded contingency vector.
+// Engine.Run wires the stages together, and Engine.RunVector is the entry
+// for callers holding a sharded contingency vector — the one every
+// repro.Releaser release takes. Preview forecasts a configuration's error
+// from Steps 1–2 alone, without data or noise.
 //
 // # The blocked-vector pipeline
 //

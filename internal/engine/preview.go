@@ -1,11 +1,10 @@
-package core
+package engine
 
 import (
 	"fmt"
 	"math"
 
 	"repro/internal/budget"
-	"repro/internal/engine"
 	"repro/internal/marginal"
 	"repro/internal/strategy"
 )
@@ -31,7 +30,7 @@ type Forecast struct {
 // the variance accounting of Step 3 but never draws noise or reads data.
 func Preview(w *marginal.Workload, cfg Config) (*Forecast, error) {
 	if cfg.Strategy == nil {
-		return nil, fmt.Errorf("core: no strategy configured")
+		return nil, fmt.Errorf("engine: no strategy configured")
 	}
 	if err := cfg.Privacy.Validate(); err != nil {
 		return nil, err
@@ -43,7 +42,7 @@ func Preview(w *marginal.Workload, cfg Config) (*Forecast, error) {
 	if cfg.QueryWeights != nil {
 		wp, ok := cfg.Strategy.(strategy.WeightedPlanner)
 		if !ok {
-			return nil, fmt.Errorf("core: strategy %s does not support query weights", cfg.Strategy.Name())
+			return nil, fmt.Errorf("engine: strategy %s does not support query weights", cfg.Strategy.Name())
 		}
 		plan, err = wp.PlanWeighted(w, cfg.QueryWeights)
 	} else {
@@ -74,7 +73,7 @@ func Preview(w *marginal.Workload, cfg Config) (*Forecast, error) {
 		GroupBudgets:     alloc.Eta,
 		CellStdDev:       make([]float64, len(cellVar)),
 		ExpectedAbsError: ExpectedAbsError(w, cellVar),
-		TotalVariance:    engine.TotalCellVariance(w, cellVar),
+		TotalVariance:    TotalCellVariance(w, cellVar),
 	}
 	for i, v := range cellVar {
 		f.CellStdDev[i] = math.Sqrt(v)
@@ -82,16 +81,14 @@ func Preview(w *marginal.Workload, cfg Config) (*Forecast, error) {
 	return f, nil
 }
 
-// CompareStrategies previews several configurations side by side, sorted as
-// given; a convenience for CLI/report code.
-func CompareStrategies(w *marginal.Workload, cfgs []Config) ([]*Forecast, error) {
-	out := make([]*Forecast, len(cfgs))
-	for i, cfg := range cfgs {
-		f, err := Preview(w, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: previewing %d: %w", i, err)
-		}
-		out[i] = f
+// ExpectedAbsError returns the analytic expected L1 error per marginal,
+// E‖Cαx − C̃αx‖₁ ≈ Σ_cells σ_cell·√(2/π), from the cell variances (exact
+// for Gaussian noise, a very good approximation for the aggregated Laplace
+// sums appearing here).
+func ExpectedAbsError(w *marginal.Workload, cellVar []float64) []float64 {
+	out := make([]float64, len(w.Marginals))
+	for i, m := range w.Marginals {
+		out[i] = float64(m.Cells()) * math.Sqrt(2*cellVar[i]/math.Pi)
 	}
-	return out, nil
+	return out
 }

@@ -1,4 +1,4 @@
-package core
+package engine
 
 import (
 	"math"
@@ -12,16 +12,10 @@ import (
 	"repro/internal/strategy"
 )
 
-func pureParams(eps float64) noise.Params {
-	return noise.Params{Type: noise.PureDP, Epsilon: eps, Neighbor: noise.AddRemove}
-}
-
-func testX(rng *rand.Rand, d int) []float64 {
-	x := make([]float64, 1<<uint(d))
-	for i := range x {
-		x[i] = float64(rng.Intn(20))
-	}
-	return x
+// run is the serial, uncached single-call form of the pipeline the tests
+// below exercise end to end.
+func run(w *marginal.Workload, x []float64, cfg Config) (*Release, error) {
+	return New(Options{Workers: 1}).Run(w, x, cfg)
 }
 
 func allStrategies() []strategy.Strategy {
@@ -37,7 +31,7 @@ func TestRunAllStrategiesProduceAnswers(t *testing.T) {
 	w := marginal.AllKWay(d, 2)
 	for _, s := range allStrategies() {
 		for _, b := range []Budgeting{UniformBudget, OptimalBudget} {
-			rel, err := Run(w, x, Config{
+			rel, err := run(w, x, Config{
 				Strategy: s, Budgeting: b, Privacy: pureParams(1), Seed: 7,
 			})
 			if err != nil {
@@ -59,11 +53,11 @@ func TestRunDeterministicBySeed(t *testing.T) {
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 1)
 	cfg := Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(0.5), Seed: 11}
-	a, err := Run(w, x, cfg)
+	a, err := run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(w, x, cfg)
+	b, err := run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +67,7 @@ func TestRunDeterministicBySeed(t *testing.T) {
 		}
 	}
 	cfg.Seed = 12
-	c, err := Run(w, x, cfg)
+	c, err := run(w, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +92,11 @@ func TestOptimalBudgetNeverWorseAnalytically(t *testing.T) {
 		marginal.MustWorkload(d, []bits.Mask{0b000001, 0b001111, 0b110011}),
 	} {
 		for _, s := range allStrategies() {
-			uni, err := Run(w, x, Config{Strategy: s, Budgeting: UniformBudget, Privacy: pureParams(1), Seed: 1})
+			uni, err := run(w, x, Config{Strategy: s, Budgeting: UniformBudget, Privacy: pureParams(1), Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := Run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1})
+			opt, err := run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +117,7 @@ func TestRunIsUnbiasedEmpirically(t *testing.T) {
 		const trials = 3000
 		sums := make([]float64, len(truth))
 		for tr := 0; tr < trials; tr++ {
-			rel, err := Run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: int64(tr)})
+			rel, err := run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: int64(tr)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +141,7 @@ func TestConsistencyModesProduceConsistentOutput(t *testing.T) {
 	x := testX(rng, d)
 	w := marginal.MustWorkload(d, []bits.Mask{0b0011, 0b0110, 0b1100})
 	for _, mode := range []Consistency{L2Consistency, WeightedL2Consistency, L1Consistency, LInfConsistency} {
-		rel, err := Run(w, x, Config{
+		rel, err := run(w, x, Config{
 			Strategy: strategy.Workload{}, Budgeting: OptimalBudget,
 			Consistency: mode, Privacy: pureParams(0.5), Seed: 9,
 		})
@@ -168,7 +162,7 @@ func TestIdentityOutputAlreadyConsistent(t *testing.T) {
 	d := 5
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 2)
-	rel, err := Run(w, x, Config{Strategy: strategy.Identity{}, Budgeting: UniformBudget, Privacy: pureParams(1), Seed: 3})
+	rel, err := run(w, x, Config{Strategy: strategy.Identity{}, Budgeting: UniformBudget, Privacy: pureParams(1), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +176,13 @@ func TestPrivacyAccountingGuards(t *testing.T) {
 	d := 4
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 1)
-	if _, err := Run(w, x, Config{Strategy: strategy.Workload{}, Privacy: noise.Params{Epsilon: 0}}); err == nil {
+	if _, err := run(w, x, Config{Strategy: strategy.Workload{}, Privacy: noise.Params{Epsilon: 0}}); err == nil {
 		t.Error("epsilon 0 accepted")
 	}
-	if _, err := Run(w, x, Config{Privacy: pureParams(1)}); err == nil {
+	if _, err := run(w, x, Config{Privacy: pureParams(1)}); err == nil {
 		t.Error("nil strategy accepted")
 	}
-	if _, err := Run(w, x[:3], Config{Strategy: strategy.Workload{}, Privacy: pureParams(1)}); err == nil {
+	if _, err := run(w, x[:3], Config{Strategy: strategy.Workload{}, Privacy: pureParams(1)}); err == nil {
 		t.Error("short data vector accepted")
 	}
 }
@@ -200,7 +194,7 @@ func TestGaussianMechanismRuns(t *testing.T) {
 	w := marginal.AllKWay(d, 1)
 	p := noise.Params{Type: noise.ApproxDP, Epsilon: 1, Delta: 1e-5, Neighbor: noise.AddRemove}
 	for _, s := range allStrategies() {
-		rel, err := Run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: p, Seed: 2})
+		rel, err := run(w, x, Config{Strategy: s, Budgeting: OptimalBudget, Privacy: p, Seed: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -220,7 +214,7 @@ func TestErrorDecreasesWithEpsilon(t *testing.T) {
 		total := 0.0
 		const trials = 30
 		for tr := 0; tr < trials; tr++ {
-			rel, err := Run(w, x, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(eps), Seed: int64(tr)})
+			rel, err := run(w, x, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(eps), Seed: int64(tr)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,58 +224,6 @@ func TestErrorDecreasesWithEpsilon(t *testing.T) {
 	}
 	if lo, hi := measure(1.0), measure(0.1); lo >= hi {
 		t.Fatalf("error at ε=1 (%v) should be below ε=0.1 (%v)", lo, hi)
-	}
-}
-
-func TestPerMarginal(t *testing.T) {
-	w := marginal.MustWorkload(3, []bits.Mask{0b100, 0b110})
-	answers := []float64{4, 1, 3, 1, 0, 1}
-	per := PerMarginal(w, answers)
-	if len(per) != 2 || len(per[0]) != 2 || len(per[1]) != 4 {
-		t.Fatalf("PerMarginal shapes wrong: %v", per)
-	}
-	if per[0][0] != 4 || per[1][3] != 1 {
-		t.Fatalf("PerMarginal values wrong: %v", per)
-	}
-	per[0][0] = 99
-	if answers[0] == 99 {
-		t.Fatal("PerMarginal must copy")
-	}
-}
-
-func TestExpectedAbsError(t *testing.T) {
-	w := marginal.MustWorkload(3, []bits.Mask{0b011})
-	got := ExpectedAbsError(w, []float64{math.Pi / 2})
-	if math.Abs(got[0]-4) > 1e-12 { // 4 cells · √(2·(π/2)/π) = 4
-		t.Fatalf("ExpectedAbsError = %v, want 4", got[0])
-	}
-}
-
-func TestBoundsTable1Relationships(t *testing.T) {
-	p := pureParams(1)
-	for _, d := range []int{10, 14, 16} {
-		for _, k := range []int{1, 2, 3} {
-			lower := BoundLower(d, k, p)
-			fnu := BoundFourierNonUniform(d, k, p)
-			fu := BoundFourierUniform(d, k, p)
-			if fnu < lower {
-				t.Fatalf("d=%d k=%d: non-uniform bound %v below lower bound %v", d, k, fnu, lower)
-			}
-			if fnu > fu*(1+1e-9) {
-				t.Fatalf("d=%d k=%d: non-uniform %v must improve on uniform %v", d, k, fnu, fu)
-			}
-		}
-	}
-}
-
-func TestBoundsApproxDPTighter(t *testing.T) {
-	// For fixed ε and moderate δ the (ε,δ) bounds grow like √ of the pure
-	// bounds in the combinatorial terms.
-	pPure := pureParams(1)
-	pApprox := noise.Params{Type: noise.ApproxDP, Epsilon: 1, Delta: 1e-6, Neighbor: noise.AddRemove}
-	d, k := 16, 3
-	if BoundFourierNonUniform(d, k, pApprox) >= BoundFourierNonUniform(d, k, pPure) {
-		t.Fatal("(ε,δ) Fourier bound should beat pure DP at these parameters")
 	}
 }
 
@@ -295,11 +237,11 @@ func TestClusterBeatsWorkloadOnOverlappingQ1(t *testing.T) {
 	d := 6
 	x := testX(rng, d)
 	w := marginal.AllKWay(d, 1)
-	q, err := Run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 4})
+	q, err := run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Run(w, x, Config{Strategy: strategy.Cluster{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 4})
+	c, err := run(w, x, Config{Strategy: strategy.Cluster{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +258,7 @@ func BenchmarkRunFourierOptimalD10Q2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(w, x, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: int64(i)}); err != nil {
+		if _, err := run(w, x, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -328,11 +270,11 @@ func TestQueryWeightsFlowThroughRun(t *testing.T) {
 	x := testX(rng, d)
 	w := marginal.MustWorkload(d, []bits.Mask{0b000011, 0b111100})
 	a := []float64{100, 0.01}
-	plain, err := Run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1})
+	plain, err := run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := Run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1, QueryWeights: a})
+	weighted, err := run(w, x, Config{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1), Seed: 1, QueryWeights: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,75 +287,11 @@ func TestQueryWeightsFlowThroughRun(t *testing.T) {
 			weighted.CellVariances[1], plain.CellVariances[1])
 	}
 	// Bad weights rejected.
-	if _, err := Run(w, x, Config{Strategy: strategy.Workload{}, Privacy: pureParams(1), QueryWeights: []float64{1}}); err == nil {
+	if _, err := run(w, x, Config{Strategy: strategy.Workload{}, Privacy: pureParams(1), QueryWeights: []float64{1}}); err == nil {
 		t.Fatal("short query weights accepted")
 	}
 	// Strategies without WeightedPlanner are rejected cleanly.
-	if _, err := Run(w, x, Config{Strategy: strategy.HierarchyMarginal{}, Privacy: pureParams(1), QueryWeights: []float64{1, 1}}); err == nil {
+	if _, err := run(w, x, Config{Strategy: strategy.HierarchyMarginal{}, Privacy: pureParams(1), QueryWeights: []float64{1, 1}}); err == nil {
 		t.Fatal("unweightable strategy accepted query weights")
-	}
-}
-
-func TestPreviewMatchesRunAccounting(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	d := 6
-	x := testX(rng, d)
-	w := marginal.AllKWay(d, 2)
-	for _, s := range allStrategies() {
-		for _, b := range []Budgeting{UniformBudget, OptimalBudget} {
-			cfg := Config{Strategy: s, Budgeting: b, Privacy: pureParams(0.7), Seed: 5}
-			fc, err := Preview(w, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", s.Name(), err)
-			}
-			rel, err := Run(w, x, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(fc.TotalVariance-rel.TotalVariance) > 1e-9*(1+rel.TotalVariance) {
-				t.Fatalf("%s/%v: preview variance %v != run variance %v",
-					s.Name(), b, fc.TotalVariance, rel.TotalVariance)
-			}
-			for i := range fc.CellStdDev {
-				want := math.Sqrt(rel.CellVariances[i])
-				if math.Abs(fc.CellStdDev[i]-want) > 1e-9*(1+want) {
-					t.Fatalf("%s: cell σ mismatch at %d", s.Name(), i)
-				}
-			}
-			for _, e := range fc.ExpectedAbsError {
-				if e <= 0 || math.IsNaN(e) {
-					t.Fatalf("%s: bad expected error %v", s.Name(), e)
-				}
-			}
-		}
-	}
-}
-
-func TestPreviewNeedsNoData(t *testing.T) {
-	// Preview must work for domains far too large to materialise data for.
-	w := marginal.AllKWay(20, 1) // N = 2^20; identity plan has 2^20 rows
-	fc, err := Preview(w, Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.TotalVariance <= 0 {
-		t.Fatal("empty forecast")
-	}
-}
-
-func TestCompareStrategies(t *testing.T) {
-	w := marginal.AllKWay(5, 1)
-	fcs, err := CompareStrategies(w, []Config{
-		{Strategy: strategy.Workload{}, Budgeting: OptimalBudget, Privacy: pureParams(1)},
-		{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget, Privacy: pureParams(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fcs) != 2 || fcs[0].StrategyName == fcs[1].StrategyName {
-		t.Fatalf("comparison broken: %+v", fcs)
-	}
-	if _, err := CompareStrategies(w, []Config{{Privacy: pureParams(1)}}); err == nil {
-		t.Fatal("nil strategy accepted")
 	}
 }

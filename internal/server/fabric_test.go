@@ -63,8 +63,8 @@ func sameBody(t testing.TB, label string, a, b map[string]json.RawMessage) {
 }
 
 // TestServerFabricBitIdentity is the serving-layer acceptance test: a
-// coordinator distributing over a real worker fleet answers /v1/release
-// and /v1/synthetic byte-identically to a local-only server — including
+// coordinator distributing over a real worker fleet answers /v1/release,
+// /v1/synthetic and /v1/cube byte-identically to a local-only server — including
 // after a worker is killed mid-fleet — and /v1/metrics reports the
 // per-worker task counters.
 func TestServerFabricBitIdentity(t *testing.T) {
@@ -121,6 +121,18 @@ func TestServerFabricBitIdentity(t *testing.T) {
 	}
 	if tasks == 0 {
 		t.Fatal("metrics: fleet completed zero tasks — fabric releases ran locally")
+	}
+
+	// Cubes release through a Releaser over the lattice workload, so they
+	// distribute too.
+	compare("/v1/cube", map[string]any{"max_order": 2})
+	compare("/v1/cube", map[string]any{"max_order": 1, "strategy": "workload", "delta": 1e-6})
+	var cubeTasks int64
+	for _, wm := range decode[metricsResponse](t, do(t, coord, http.MethodGet, "/v1/metrics")).Fabric.Workers {
+		cubeTasks += wm.Tasks
+	}
+	if cubeTasks == tasks {
+		t.Fatal("metrics: cube releases sent the fleet no tasks — they ran locally")
 	}
 
 	// Kill one worker: the release (fresh seed, so no result-cache replay)

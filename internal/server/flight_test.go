@@ -170,11 +170,32 @@ func TestFlightLeaderCancelRetries(t *testing.T) {
 	}
 }
 
+// releaseEndpoints lists every release-shaped endpoint with the request
+// fields it needs beyond a dataset-backed release body; tests of the
+// shared pipeline take the endpoint as one more table input.
+var releaseEndpoints = []struct {
+	path string
+	over map[string]any
+}{
+	{"/v1/release", map[string]any{}},
+	{"/v1/synthetic", map[string]any{"synthetic_seed": 11}},
+	{"/v1/cube", map[string]any{"max_order": 2}},
+}
+
 // TestCoalescedHerdChargesOnce is the acceptance criterion end to end: N
 // concurrent identical cold dataset-backed requests produce one pipeline
 // execution, one ledger charge, and N byte-identical payloads; the other
-// N−1 count as coalesced in /v1/metrics.
+// N−1 count as coalesced in /v1/metrics — on every release-shaped
+// endpoint.
 func TestCoalescedHerdChargesOnce(t *testing.T) {
+	for _, ep := range releaseEndpoints {
+		t.Run(strings.TrimPrefix(ep.path, "/v1/"), func(t *testing.T) {
+			testCoalescedHerd(t, ep.path, ep.over)
+		})
+	}
+}
+
+func testCoalescedHerd(t *testing.T, path string, over map[string]any) {
 	const n = 6
 	s := newTestServer(t, testConfig())
 	if rec := putDataset(t, s, "d1", testNDJSON(t)); rec.Code != http.StatusCreated {
@@ -195,7 +216,7 @@ func TestCoalescedHerdChargesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			recs[i] = post(t, s, "/v1/release", datasetBody("d1", nil))
+			recs[i] = post(t, s, path, datasetBody("d1", over))
 		}(i)
 	}
 	key := <-keyCh
@@ -223,7 +244,7 @@ func TestCoalescedHerdChargesOnce(t *testing.T) {
 		t.Fatalf("metrics coalesced_requests = %d, want %d", m.Coalesced, n-1)
 	}
 	// The herd settled into one cached payload: a straggler is a plain hit.
-	if rec := post(t, s, "/v1/release", datasetBody("d1", nil)); rec.Code != http.StatusOK ||
+	if rec := post(t, s, path, datasetBody("d1", over)); rec.Code != http.StatusOK ||
 		!bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
 		t.Fatalf("straggler after the herd: %d", rec.Code)
 	}

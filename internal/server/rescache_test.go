@@ -32,23 +32,17 @@ func datasetBody(id string, overrides map[string]any) map[string]any {
 // a repeated identical dataset-backed request must return the exact bytes
 // of the miss that computed it — body, budget field and all.
 func TestResultCacheHitByteIdentical(t *testing.T) {
-	for _, path := range []string{"/v1/release", "/v1/cube", "/v1/synthetic"} {
+	for _, ep := range releaseEndpoints {
+		path := ep.path
 		s := newTestServer(t, testConfig())
 		if rec := putDataset(t, s, "d1", testNDJSON(t)); rec.Code != http.StatusCreated {
 			t.Fatalf("%s: ingest: %d %s", path, rec.Code, rec.Body.String())
 		}
-		over := map[string]any{}
-		if path == "/v1/cube" {
-			over["max_order"] = 2
-		}
-		if path == "/v1/synthetic" {
-			over["synthetic_seed"] = 11
-		}
-		first := post(t, s, path, datasetBody("d1", over))
+		first := post(t, s, path, datasetBody("d1", ep.over))
 		if first.Code != http.StatusOK {
 			t.Fatalf("%s: miss: %d %s", path, first.Code, first.Body.String())
 		}
-		second := post(t, s, path, datasetBody("d1", over))
+		second := post(t, s, path, datasetBody("d1", ep.over))
 		if second.Code != http.StatusOK {
 			t.Fatalf("%s: hit: %d %s", path, second.Code, second.Body.String())
 		}

@@ -25,7 +25,7 @@
 // rejected transactionally, like any malformed NDJSON.
 //
 // With Config.FabricWorkers set the server acts as a fabric coordinator:
-// dataset-backed release and synthetic requests fan their Measure and
+// dataset-backed release, cube and synthetic requests fan their Measure and
 // Recover stages out across the worker fleet (see internal/fabric) and
 // remain bit-identical to local execution — worker failures, stragglers
 // and stale replicas degrade latency, never bits. /v1/metrics gains a
@@ -35,9 +35,13 @@
 // Release-shaped requests carry their data as exactly one of rows (tuples
 // in the body), counts (the full contingency vector) or dataset_id (a
 // previously ingested dataset — the serving shape for real traffic, where
-// request bodies stop hauling the relation around). The heavy,
-// privacy-independent planning work is keyed on (schema, workload,
-// strategy) and amortised across requests through the shared PlanCache.
+// request bodies stop hauling the relation around). Inline data may span
+// at most MaxBodyBytes/8 cells — the largest counts vector the body cap
+// admits — so a small body cannot demand a huge dense vector. All three
+// endpoints run one pipeline through the Releaser registry; a cube is the
+// marginal workload of its cuboid lattice. The heavy, privacy-independent
+// planning work is keyed on (schema, workload, strategy) and amortised
+// across requests through the shared PlanCache.
 //
 // # Multi-tenant budget accounting
 //
@@ -169,6 +173,7 @@ import (
 
 	"repro"
 	"repro/internal/accountant"
+	"repro/internal/datacube"
 	"repro/internal/fabric"
 	"repro/internal/rescache"
 	"repro/internal/store"
@@ -410,9 +415,9 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	s.mux = http.NewServeMux()
-	s.route("POST /v1/release", s.handleRelease)
-	s.route("POST /v1/cube", s.handleCube)
-	s.route("POST /v1/synthetic", s.handleSynthetic)
+	s.route("POST /v1/release", s.serveRelease(releaseEndpoint))
+	s.route("POST /v1/cube", s.serveRelease(cubeEndpoint))
+	s.route("POST /v1/synthetic", s.serveRelease(syntheticEndpoint))
 	s.route("GET /v1/budget", s.handleBudget)
 	s.route("GET /v1/metrics", s.handleMetrics)
 	s.route("PUT /v1/datasets/{id}", s.handleDatasetPut)
@@ -990,224 +995,194 @@ type datasetListResponse struct {
 // ---------------------------------------------------------------------------
 // Handlers.
 
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	req, schema, x, h, err := s.decodeData(w, r, true)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	if h != nil {
-		defer h.Close()
-	}
-	r = s.withTrace(r, "release", req)
-	rel, err := s.releaser(r.Context(), schema, req)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	// Admission: validation first (a malformed request must be a free
-	// 400), then the atomic two-level charge. Everything after the charge
-	// is on the retained-charge side of the contract.
-	if err := validateSpec(req); err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	// A cached result short-circuits BEFORE the charge: replaying the same
-	// noised output is free post-processing, paid for by the miss that
-	// computed it (see internal/rescache).
-	key, cacheable := s.resultKey("release", h, schema, req)
-	if payload, ok := s.cachedResult(key, cacheable); ok {
-		annotateCache(r, "hit")
-		s.writeSpliced(w, r, payload)
-		return
-	}
-	annotateCache(r, cacheVerdict(cacheable))
-	// Everything from admission on runs under single-flight: a cold-key
-	// thundering herd admits one leader, and its followers share the payload
-	// without charging. Post-charge failures are wrapped so only the leader
-	// answers with the retained-charge contract.
-	payload, led, err := s.coalesce(r, key, cacheable, func() ([]byte, error) {
-		if err := s.chargeTraced(r, rel, req, "release"); err != nil {
-			return nil, err
-		}
-		res, err := s.release(r, rel, req, x, h)
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		payload, err := json.Marshal(releaseBody{
+// endpoint is what differs between the release-shaped routes; serveRelease
+// runs the pipeline they share around it.
+type endpoint struct {
+	// name labels the request trace and prefixes the result-cache key.
+	name string
+	// check is the route's own admission check, beyond the shared ones
+	// (nil: none). Like every check, it runs before anything is charged.
+	check func(req *releaseRequest, schema *repro.Schema) error
+	// workloadKey writes the workload's part of the Releaser registry key;
+	// workload builds that workload, on a registry miss only.
+	workloadKey func(b *strings.Builder, req *releaseRequest)
+	workload    func(schema *repro.Schema, req *releaseRequest) (*repro.Workload, error)
+	// resultKey writes request fields that shape the response but not the
+	// release (nil: none) into the result-cache key.
+	resultKey func(b *strings.Builder, req *releaseRequest)
+	// label prefixes the ledger label of a charge whose request names none.
+	label func(req *releaseRequest) string
+	// render shapes a release into the response body the result cache
+	// stores: a JSON object without the live budget field.
+	render func(ctx context.Context, rel *repro.Releaser, req *releaseRequest, res *repro.Result) ([]byte, error)
+}
+
+// releaseEndpoint answers the request's marginal workload.
+var releaseEndpoint = &endpoint{
+	name:        "release",
+	workloadKey: writeWorkloadSpec,
+	workload:    requestWorkload,
+	label:       func(*releaseRequest) string { return "release" },
+	render: func(_ context.Context, _ *repro.Releaser, _ *releaseRequest, res *repro.Result) ([]byte, error) {
+		return json.Marshal(releaseBody{
 			Strategy:      res.Strategy,
 			TotalVariance: res.TotalVariance,
 			Tables:        tablesJSON(res),
 		})
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		if cacheable {
-			s.results.Put(key, req.DatasetID, payload)
-		}
-		return payload, nil
-	})
-	if err != nil {
-		s.failFlight(w, r, err, req, led)
-		return
-	}
-	s.writeSpliced(w, r, payload)
+	},
 }
 
-func (s *Server) handleSynthetic(w http.ResponseWriter, r *http.Request) {
-	req, schema, x, h, err := s.decodeData(w, r, true)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	if h != nil {
-		defer h.Close()
-	}
-	if req.SkipConsistency {
-		s.fail(w, r, fmt.Errorf("%w: synthetic data needs a consistent release (skip_consistency must be false)",
-			repro.ErrInvalidOption))
-		return
-	}
-	r = s.withTrace(r, "synthetic", req)
-	rel, err := s.releaser(r.Context(), schema, req)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	if err := validateSpec(req); err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	// Sampling is seeded by synthetic_seed (part of the cache key), so a
-	// repeated request replays the identical tuple sample — cacheable like
-	// any other deterministic post-processing of the release.
-	key, cacheable := s.resultKey("synthetic", h, schema, req)
-	if payload, ok := s.cachedResult(key, cacheable); ok {
-		annotateCache(r, "hit")
-		s.writeSpliced(w, r, payload)
-		return
-	}
-	annotateCache(r, cacheVerdict(cacheable))
-	payload, led, err := s.coalesce(r, key, cacheable, func() ([]byte, error) {
-		if err := s.chargeTraced(r, rel, req, "synthetic"); err != nil {
-			return nil, err
+// syntheticEndpoint releases the request's workload and samples tuples
+// from it. Sampling is seeded by synthetic_seed (part of the result key),
+// so a repeated request replays the identical sample.
+var syntheticEndpoint = &endpoint{
+	name: "synthetic",
+	check: func(req *releaseRequest, _ *repro.Schema) error {
+		if req.SkipConsistency {
+			return fmt.Errorf("%w: synthetic data needs a consistent release (skip_consistency must be false)",
+				repro.ErrInvalidOption)
 		}
-		res, err := s.release(r, rel, req, x, h)
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
+		return nil
+	},
+	workloadKey: writeWorkloadSpec,
+	workload:    requestWorkload,
+	resultKey: func(b *strings.Builder, req *releaseRequest) {
+		b.WriteString(",ss")
+		b.WriteString(strconv.FormatInt(req.SyntheticSeed, 10))
+	},
+	label: func(*releaseRequest) string { return "synthetic" },
+	render: func(ctx context.Context, rel *repro.Releaser, req *releaseRequest, res *repro.Result) ([]byte, error) {
 		// Sampling is free post-processing: no further ledger spend.
-		ssp := telemetry.TraceFrom(r.Context()).Root().Start("sample")
-		syn, err := rel.Synthetic(r.Context(), res, req.SyntheticSeed)
+		ssp := telemetry.TraceFrom(ctx).Root().Start("sample")
+		syn, err := rel.Synthetic(ctx, res, req.SyntheticSeed)
 		ssp.End()
 		if err != nil {
-			return nil, retainedChargeError{err}
+			return nil, err
 		}
 		rows := syn.Rows
 		if rows == nil {
 			rows = [][]int{}
 		}
-		payload, err := json.Marshal(syntheticBody{
-			Strategy: res.Strategy,
-			Count:    syn.Count(),
-			Rows:     rows,
-		})
-		if err != nil {
-			return nil, retainedChargeError{err}
-		}
-		if cacheable {
-			s.results.Put(key, req.DatasetID, payload)
-		}
-		return payload, nil
-	})
-	if err != nil {
-		s.failFlight(w, r, err, req, led)
-		return
-	}
-	s.writeSpliced(w, r, payload)
+		return json.Marshal(syntheticBody{Strategy: res.Strategy, Count: syn.Count(), Rows: rows})
+	},
 }
 
-func (s *Server) handleCube(w http.ResponseWriter, r *http.Request) {
-	// Decoding with needVector validates every row (or the dataset) BEFORE
-	// the ledger is charged: a malformed request has to be a free 400,
-	// never a burned budget. The vector built here feeds the mechanism
-	// directly — the cube path never re-vectorizes.
-	req, schema, x, h, err := s.decodeData(w, r, true)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	if h != nil {
-		defer h.Close()
-	}
-	if req.MaxOrder <= 0 || req.MaxOrder > len(schema.Attrs) {
-		s.fail(w, r, fmt.Errorf("%w: max_order %d out of range [1,%d]",
-			repro.ErrInvalidOption, req.MaxOrder, len(schema.Attrs)))
-		return
-	}
-	if err := validateSpec(req); err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	kind, err := strategyKind(req.Strategy)
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	r = s.withTrace(r, "cube", req)
-	key, cacheable := s.resultKey("cube", h, schema, req)
-	if payload, ok := s.cachedResult(key, cacheable); ok {
-		annotateCache(r, "hit")
-		s.writeSpliced(w, r, payload)
-		return
-	}
-	annotateCache(r, cacheVerdict(cacheable))
-	// Admission first, then the mechanism — both inside the flight, so a
-	// herd of identical cube requests charges once; a post-admission
-	// failure keeps the leader's charge (see failRetained).
-	payload, led, err := s.coalesce(r, key, cacheable, func() ([]byte, error) {
-		if err := s.chargeTraced(r, nil, req, fmt.Sprintf("cube-%d-way", req.MaxOrder)); err != nil {
-			return nil, err
+// cubeEndpoint releases every cuboid of order ≤ max_order: the marginal
+// workload of the datacube lattice, whose tables come back in lattice
+// order with the lattice's sorted attribute sets.
+var cubeEndpoint = &endpoint{
+	name: "cube",
+	check: func(req *releaseRequest, schema *repro.Schema) error {
+		if req.MaxOrder <= 0 || req.MaxOrder > len(schema.Attrs) {
+			return fmt.Errorf("%w: max_order %d out of range [1,%d]",
+				repro.ErrInvalidOption, req.MaxOrder, len(schema.Attrs))
 		}
-		cube, err := repro.ReleaseCubeBlockedContext(r.Context(), schema, x, req.MaxOrder, repro.Options{
-			Epsilon:       req.Epsilon,
-			Delta:         req.Delta,
-			Strategy:      kind,
-			UniformBudget: req.UniformBudget,
-			Seed:          req.Seed,
-			Workers:       s.workers(req.Workers),
-			Shards:        s.shards(req.Shards),
-			Cache:         s.cache,
-		})
+		if req.SkipConsistency {
+			return fmt.Errorf("%w: a cube promises mutually consistent cuboids (skip_consistency must be false)",
+				repro.ErrInvalidOption)
+		}
+		return nil
+	},
+	workloadKey: func(b *strings.Builder, req *releaseRequest) {
+		b.WriteString("cube=")
+		b.WriteString(strconv.Itoa(req.MaxOrder))
+	},
+	workload: func(schema *repro.Schema, req *releaseRequest) (*repro.Workload, error) {
+		l, err := datacube.NewLattice(schema, req.MaxOrder)
 		if err != nil {
-			return nil, retainedChargeError{err}
+			return nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
 		}
-		cuboids := make([]marginalJSON, len(cube.Lattice.Cuboids))
-		for i, c := range cube.Lattice.Cuboids {
-			attrs := c.Attrs
-			if attrs == nil {
-				attrs = []int{}
-			}
-			cuboids[i] = marginalJSON{Attrs: attrs, Cells: cube.Tables[i], Variance: cube.CellVariance[i]}
-		}
-		payload, err := json.Marshal(cubeBody{
+		return l.Workload(), nil
+	},
+	label: func(req *releaseRequest) string { return fmt.Sprintf("cube-%d-way", req.MaxOrder) },
+	render: func(_ context.Context, _ *repro.Releaser, req *releaseRequest, res *repro.Result) ([]byte, error) {
+		return json.Marshal(cubeBody{
 			MaxOrder:      req.MaxOrder,
-			TotalVariance: cube.TotalVariance,
-			Cuboids:       cuboids,
+			TotalVariance: res.TotalVariance,
+			Cuboids:       tablesJSON(res),
+		})
+	},
+}
+
+// serveRelease is the one pipeline behind every release-shaped endpoint:
+// decode → check → trace → result-cache lookup, then on a miss resolve the
+// Releaser and, under single-flight, charge → release → render → cache.
+//
+// Every check runs before admission (a malformed request is a free 400)
+// and the cache lookup runs before the charge: replaying the same noised
+// output is free post-processing, paid for by the miss that computed it
+// (see internal/rescache). A hit needs no Releaser either — it replays a
+// payload an identical, already-validated request produced, and the key
+// pins the full structural spec. From admission on everything runs under
+// single-flight: a cold-key thundering herd admits one leader, whose
+// followers share the payload without charging; post-charge failures are
+// wrapped so only the leader answers with the retained-charge contract.
+func (s *Server) serveRelease(e *endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, schema, x, h, err := s.decodeData(w, r)
+		if err != nil {
+			s.fail(w, r, err)
+			return
+		}
+		if h != nil {
+			defer h.Close()
+		}
+		kind, err := e.admit(req, schema)
+		if err != nil {
+			s.fail(w, r, err)
+			return
+		}
+		r = s.withTrace(r, e.name, req)
+		regKey := releaserKey(schema, req, kind, e.workloadKey)
+		key, cacheable := s.resultKey(e, h, regKey, req)
+		if payload, ok := s.cachedResult(key, cacheable); ok {
+			annotateCache(r, "hit")
+			s.writeSpliced(w, r, payload)
+			return
+		}
+		annotateCache(r, cacheVerdict(cacheable))
+		rel, err := s.releaser(r.Context(), regKey, schema, req, kind, e.workload)
+		if err != nil {
+			s.fail(w, r, err)
+			return
+		}
+		payload, led, err := s.coalesce(r, key, cacheable, func() ([]byte, error) {
+			if err := s.chargeTraced(r, rel, req, e.label(req)); err != nil {
+				return nil, err
+			}
+			res, err := s.release(r, rel, req, x, h)
+			if err != nil {
+				return nil, retainedChargeError{err}
+			}
+			payload, err := e.render(r.Context(), rel, req, res)
+			if err != nil {
+				return nil, retainedChargeError{err}
+			}
+			if cacheable {
+				s.results.Put(key, req.DatasetID, payload)
+			}
+			return payload, nil
 		})
 		if err != nil {
-			return nil, retainedChargeError{err}
+			s.failFlight(w, r, err, req, led)
+			return
 		}
-		if cacheable {
-			s.results.Put(key, req.DatasetID, payload)
-		}
-		return payload, nil
-	})
-	if err != nil {
-		s.failFlight(w, r, err, req, led)
-		return
+		s.writeSpliced(w, r, payload)
 	}
-	s.writeSpliced(w, r, payload)
+}
+
+// admit runs the request checks every release-shaped endpoint shares,
+// then the endpoint's own, and resolves the strategy.
+func (e *endpoint) admit(req *releaseRequest, schema *repro.Schema) (repro.StrategyKind, error) {
+	if err := validateSpec(req); err != nil {
+		return 0, err
+	}
+	if e.check != nil {
+		if err := e.check(req, schema); err != nil {
+			return 0, err
+		}
+	}
+	return strategyKind(req.Strategy)
 }
 
 func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
@@ -1436,12 +1411,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Request plumbing.
 
-// decodeData parses the body, resolves the schema (from the request, or
-// from the named dataset) and, when needVector, the contingency vector.
-// With dataset_id the returned handle pins the dataset for the request's
-// duration — the caller must Close it; a concurrent DELETE then never tears
-// the release mid-run.
-func (s *Server) decodeData(w http.ResponseWriter, r *http.Request, needVector bool) (*releaseRequest, *repro.Schema, *repro.BlockedVector, *store.Handle, error) {
+// decodeData parses the body and resolves the schema and the contingency
+// vector, from the request or from the named dataset. With dataset_id the
+// returned handle pins the dataset for the request's duration — the caller
+// must Close it; a concurrent DELETE then never tears the release mid-run.
+// Inline data is validated here, before anything is charged: every row
+// (a malformed one is a free 400) and the domain size.
+func (s *Server) decodeData(w http.ResponseWriter, r *http.Request) (*releaseRequest, *repro.Schema, *repro.BlockedVector, *store.Handle, error) {
 	var req releaseRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(body)
@@ -1475,11 +1451,7 @@ func (s *Server) decodeData(w http.ResponseWriter, r *http.Request, needVector b
 			return nil, nil, nil, nil, fmt.Errorf("%w: request schema does not match dataset %q",
 				repro.ErrInvalidOption, req.DatasetID)
 		}
-		var x *repro.BlockedVector
-		if needVector {
-			x = h.Vector()
-		}
-		return &req, h.Schema(), x, h, nil
+		return &req, h.Schema(), h.Vector(), h, nil
 	}
 
 	if len(req.Schema) == 0 {
@@ -1493,8 +1465,12 @@ func (s *Server) decodeData(w http.ResponseWriter, r *http.Request, needVector b
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%w: %v", repro.ErrInvalidOption, err)
 	}
-	if !needVector {
-		return &req, schema, nil, nil, nil
+	// The body cap admits an inline counts vector of at most MaxBodyBytes/8
+	// cells; rows must not buy a larger dense vector than that, or a tiny
+	// body naming a 2^30-cell schema would allocate 8 GiB here.
+	if limit := s.cfg.MaxBodyBytes / 8; int64(schema.DomainSize()) > limit {
+		return nil, nil, nil, nil, fmt.Errorf("%w: inline data spans %d cells, over the %d-cell limit of a request body (ingest it with PUT /v1/datasets instead)",
+			repro.ErrInvalidOption, schema.DomainSize(), limit)
 	}
 	var dense []float64
 	if req.Counts != nil {
@@ -1526,8 +1502,9 @@ func schemaMatches(inline []attributeJSON, attrs []repro.Attribute) bool {
 	return true
 }
 
-// workload resolves the request's workload spec over the schema.
-func workloadOf(schema *repro.Schema, wl workloadJSON) (*repro.Workload, error) {
+// requestWorkload resolves the request's workload spec over the schema.
+func requestWorkload(schema *repro.Schema, req *releaseRequest) (*repro.Workload, error) {
+	wl := req.Workload
 	switch {
 	case wl.Marginals != nil:
 		w, err := repro.MarginalsOver(schema, wl.Marginals)
@@ -1571,8 +1548,9 @@ func strategyKind(name string) (repro.StrategyKind, error) {
 	}
 }
 
-// validateSpec applies the admission checks the Releaser path performs
-// itself, for endpoints that charge the ledger directly.
+// validateSpec checks the privacy parameters before admission. The
+// server charges its ledgers itself, ahead of the Releaser (which repeats
+// the check), so a bad ε or δ must be refused here to stay a free 400.
 func validateSpec(req *releaseRequest) error {
 	if req.Epsilon <= 0 {
 		return fmt.Errorf("%w: got %v", repro.ErrInvalidEpsilon, req.Epsilon)
@@ -1583,9 +1561,9 @@ func validateSpec(req *releaseRequest) error {
 	return nil
 }
 
-// releaser returns (building on first use) the shared Releaser for the
-// request's (schema, workload, mechanism) key. All Releasers share the
-// server's plan cache and budget ledger.
+// releaser returns (building on first use) the shared Releaser registered
+// under key, the request's releaserKey. All Releasers share the server's
+// plan cache; none carries a ledger.
 //
 // Construction — which pre-plans, for the cluster strategy an expensive
 // search — happens OUTSIDE the registry lock and under the request's
@@ -1593,12 +1571,8 @@ func validateSpec(req *releaseRequest) error {
 // keys, and a client that gives up aborts its own planning. Two racing
 // cold-starts may both plan; the loser's work is not wasted because both
 // share s.cache, and only one Releaser is registered.
-func (s *Server) releaser(ctx context.Context, schema *repro.Schema, req *releaseRequest) (*repro.Releaser, error) {
-	kind, err := strategyKind(req.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	key := releaserKey(schema, req, kind)
+func (s *Server) releaser(ctx context.Context, key string, schema *repro.Schema, req *releaseRequest, kind repro.StrategyKind,
+	workload func(*repro.Schema, *releaseRequest) (*repro.Workload, error)) (*repro.Releaser, error) {
 	s.mu.Lock()
 	r, ok := s.releasers[key]
 	s.mu.Unlock()
@@ -1607,7 +1581,7 @@ func (s *Server) releaser(ctx context.Context, schema *repro.Schema, req *releas
 		// when this Releaser was built.
 		return r, nil
 	}
-	w, err := workloadOf(schema, req.Workload)
+	w, err := workload(schema, req)
 	if err != nil {
 		return nil, err
 	}
@@ -1653,15 +1627,23 @@ func (s *Server) releaser(ctx context.Context, schema *repro.Schema, req *releas
 	return r, nil
 }
 
-// releaserKey fingerprints everything structural about a request. Two
-// requests with the same key share one Releaser (and hence one warmed
-// plan); privacy parameters and seeds deliberately stay out, and the key is
-// built from the *resolved* schema, so a dataset_id request and the
-// equivalent rows request share one Releaser. Attribute names are
-// length-prefixed so crafted names containing the delimiters cannot collide
-// two distinct schemas onto one key.
-func releaserKey(schema *repro.Schema, req *releaseRequest, kind repro.StrategyKind) string {
+// releaserKey fingerprints everything structural about a request; the
+// endpoint's workloadKey writes the workload's part. Two requests with the
+// same key share one Releaser (and hence one warmed plan); privacy
+// parameters and seeds deliberately stay out, and the key is built from
+// the *resolved* schema, so a dataset_id request and the equivalent rows
+// request share one Releaser. Attribute names are length-prefixed so
+// crafted names containing the delimiters cannot collide two distinct
+// schemas onto one key.
+func releaserKey(schema *repro.Schema, req *releaseRequest, kind repro.StrategyKind, workloadKey func(*strings.Builder, *releaseRequest)) string {
 	var b strings.Builder
+	// One buffer for the usual key: the builder escapes through
+	// workloadKey, so growth steps would each cost an allocation.
+	n := 64
+	for _, a := range schema.Attrs {
+		n += len(a.Name) + 8
+	}
+	b.Grow(n)
 	for _, a := range schema.Attrs {
 		b.WriteString(strconv.Itoa(len(a.Name)))
 		b.WriteByte(':')
@@ -1671,29 +1653,7 @@ func releaserKey(schema *repro.Schema, req *releaseRequest, kind repro.StrategyK
 		b.WriteByte(',')
 	}
 	b.WriteByte('|')
-	wl := req.Workload
-	switch {
-	case wl.Marginals != nil:
-		for _, set := range wl.Marginals {
-			sorted := append([]int(nil), set...)
-			sort.Ints(sorted)
-			for _, a := range sorted {
-				b.WriteString(strconv.Itoa(a))
-				b.WriteByte('.')
-			}
-			b.WriteByte(';')
-		}
-	default:
-		b.WriteString("k=")
-		b.WriteString(strconv.Itoa(wl.K))
-		if wl.Star {
-			b.WriteString("*")
-		}
-		if wl.Anchor != nil {
-			b.WriteString("a")
-			b.WriteString(strconv.Itoa(*wl.Anchor))
-		}
-	}
+	workloadKey(&b, req)
 	b.WriteByte('|')
 	b.WriteString(kind.String())
 	if req.UniformBudget {
@@ -1705,31 +1665,55 @@ func releaserKey(schema *repro.Schema, req *releaseRequest, kind repro.StrategyK
 	return b.String()
 }
 
+// writeWorkloadSpec writes the request's workload spec into a registry key.
+func writeWorkloadSpec(b *strings.Builder, req *releaseRequest) {
+	wl := req.Workload
+	if wl.Marginals != nil {
+		for _, set := range wl.Marginals {
+			sorted := append([]int(nil), set...)
+			sort.Ints(sorted)
+			for _, a := range sorted {
+				b.WriteString(strconv.Itoa(a))
+				b.WriteByte('.')
+			}
+			b.WriteByte(';')
+		}
+		return
+	}
+	b.WriteString("k=")
+	b.WriteString(strconv.Itoa(wl.K))
+	if wl.Star {
+		b.WriteString("*")
+	}
+	if wl.Anchor != nil {
+		b.WriteString("a")
+		b.WriteString(strconv.Itoa(*wl.Anchor))
+	}
+}
+
 // resultKey fingerprints everything that determines a release-shaped
-// response's bytes: endpoint kind, dataset identity AND install version,
-// the full structural key (schema, workload, strategy, uniform/consistency
-// toggles), the exact privacy parameters (Float64bits — the key must
-// distinguish values a decimal rendering could collide), seed, and the
-// resolved shard count, plus the per-endpoint extras (synthetic_seed,
-// max_order). Workers stay out: the engine is bit-identical at every worker
-// count, so thread count must not fragment the cache. Only dataset-backed
-// requests are cacheable — inline rows carry no version to key on.
-func (s *Server) resultKey(kind string, h *store.Handle, schema *repro.Schema, req *releaseRequest) (string, bool) {
+// response's bytes: the endpoint, dataset identity AND install version,
+// the full structural key regKey (schema, workload, strategy,
+// uniform/consistency toggles), the exact privacy parameters (Float64bits
+// — the key must distinguish values a decimal rendering could collide),
+// seed, and the resolved shard count, plus the endpoint's extras
+// (synthetic_seed). Workers stay out: the engine is bit-identical at every
+// worker count, so thread count must not fragment the cache. Only
+// dataset-backed requests are cacheable — inline rows carry no version to
+// key on.
+func (s *Server) resultKey(e *endpoint, h *store.Handle, regKey string, req *releaseRequest) (string, bool) {
 	if s.results == nil || h == nil {
 		return "", false
 	}
-	sk, err := strategyKind(req.Strategy)
-	if err != nil {
-		return "", false
-	}
 	var b strings.Builder
-	b.WriteString(kind)
+	b.Grow(len(e.name) + len(h.ID()) + len(regKey) + 96)
+	b.WriteString(e.name)
 	b.WriteByte('|')
 	b.WriteString(h.ID())
 	b.WriteByte('@')
 	b.WriteString(strconv.FormatInt(h.Version(), 10))
 	b.WriteByte('|')
-	b.WriteString(releaserKey(schema, req, sk))
+	b.WriteString(regKey)
 	b.WriteByte('|')
 	b.WriteString(strconv.FormatUint(math.Float64bits(req.Epsilon), 16))
 	b.WriteByte(',')
@@ -1738,13 +1722,8 @@ func (s *Server) resultKey(kind string, h *store.Handle, schema *repro.Schema, r
 	b.WriteString(strconv.FormatInt(req.Seed, 10))
 	b.WriteString(",s")
 	b.WriteString(strconv.Itoa(s.shards(req.Shards)))
-	switch kind {
-	case "synthetic":
-		b.WriteString(",ss")
-		b.WriteString(strconv.FormatInt(req.SyntheticSeed, 10))
-	case "cube":
-		b.WriteString(",mo")
-		b.WriteString(strconv.Itoa(req.MaxOrder))
+	if e.resultKey != nil {
+		e.resultKey(&b, req)
 	}
 	return b.String(), true
 }
@@ -1889,12 +1868,11 @@ func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []
 }
 
 // release runs the mechanism over whichever data source the request
-// carried. Dataset-backed requests go through ReleaseDataset so an
-// attached fabric coordinator can distribute the stages (inline rows and
-// counts carry no dataset identity for the worker handshake, so they
-// always run locally — bit-identical either way). The cube endpoint stays
-// local too: it calls repro.ReleaseCubeBlockedContext, one engine run over
-// the lattice workload with no Releaser, so no fabric stages are attached.
+// carried, for every release-shaped endpoint. Dataset-backed requests go
+// through ReleaseDataset so an attached fabric coordinator can distribute
+// the stages (inline rows and counts carry no dataset identity for the
+// worker handshake, so they always run locally — bit-identical either
+// way).
 func (s *Server) release(r *http.Request, rel *repro.Releaser, req *releaseRequest, x *repro.BlockedVector, h *store.Handle) (*repro.Result, error) {
 	if h != nil {
 		return rel.ReleaseDataset(r.Context(), h, s.spec(req))
@@ -1948,13 +1926,10 @@ func (s *Server) shards(requested int) int {
 // neither) before the mechanism runs. A refusal maps to ErrBudgetExhausted
 // (429) with the refusing cap named in the message.
 //
-// When the endpoint runs through a Releaser (release, synthetic) and the
-// request is Gaussian (δ > 0), rel threads the allocator's effective σ into
-// the charge, so zCDP composition bills the exact mechanism ρ = 1/(2σ²)
-// rather than the (ε, δ) conversion bound. The cube endpoint passes nil:
-// it runs one engine run over the lattice workload without a Releaser, so
-// nothing reports that run's allocator σ and the conversion bound, which
-// is never below the exact ρ, stays in force.
+// For a Gaussian request (δ > 0), rel — the Releaser about to run the
+// release — threads the allocator's effective σ into the charge, so zCDP
+// composition bills the exact mechanism ρ = 1/(2σ²), never more than the
+// (ε, δ) conversion bound. Basic composition ignores σ.
 func (s *Server) charge(r *http.Request, rel *repro.Releaser, req *releaseRequest, defaultLabel string) error {
 	label := req.Label
 	if label == "" {
@@ -1966,7 +1941,7 @@ func (s *Server) charge(r *http.Request, rel *repro.Releaser, req *releaseReques
 		Delta:     req.Delta,
 		Partition: req.Partition,
 	}
-	if rel != nil && req.Delta > 0 {
+	if req.Delta > 0 {
 		// Best-effort: a planning failure leaves σ = 0 (conservative
 		// conversion) and resurfaces as the release's own error.
 		if sigma, err := rel.EffectiveSigma(r.Context(), s.spec(req)); err == nil && sigma > 0 {

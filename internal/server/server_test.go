@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/datacube"
 	"repro/internal/dataset"
 )
 
@@ -242,6 +243,9 @@ func TestBudgetEndpointAndExhaustion(t *testing.T) {
 // JSON error body.
 func TestErrorStatusMapping(t *testing.T) {
 	s := newTestServer(t, testConfig())
+	hugeDomain := testBody(map[string]any{
+		"schema": []map[string]any{{"name": "a", "cardinality": 1 << 30}}, "rows": [][]int{{0}}, "max_order": 1,
+	})
 	cases := []struct {
 		name string
 		path string
@@ -267,6 +271,12 @@ func TestErrorStatusMapping(t *testing.T) {
 		{"empty marginal list", "/v1/release", testBody(map[string]any{"workload": map[string]any{"marginals": [][]int{}}}), http.StatusBadRequest},
 		{"cube row outside domain", "/v1/cube", testBody(map[string]any{"max_order": 1, "rows": [][]int{{5, 0, 0}}}), http.StatusBadRequest},
 		{"synthetic without consistency", "/v1/synthetic", testBody(map[string]any{"skip_consistency": true}), http.StatusBadRequest},
+		{"cube without consistency", "/v1/cube", testBody(map[string]any{"max_order": 1, "skip_consistency": true}), http.StatusBadRequest},
+		// ~100 bytes naming a 2^30-cell domain: refused before the 8 GiB
+		// dense vector is allocated.
+		{"huge inline domain", "/v1/release", hugeDomain, http.StatusBadRequest},
+		{"huge inline synthetic domain", "/v1/synthetic", hugeDomain, http.StatusBadRequest},
+		{"huge inline cube domain", "/v1/cube", hugeDomain, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		rec := post(t, s, tc.path, tc.body)
@@ -374,7 +384,7 @@ func TestReleaserKeyNoCollision(t *testing.T) {
 	trickySchema := repro.MustSchema([]repro.Attribute{{Name: "3:a:2,b", Cardinality: 2}})
 	plainSchema := repro.MustSchema([]repro.Attribute{{Name: "a", Cardinality: 2}, {Name: "b", Cardinality: 2}})
 	req := &releaseRequest{}
-	if releaserKey(trickySchema, req, repro.StrategyFourier) == releaserKey(plainSchema, req, repro.StrategyFourier) {
+	if releaserKey(trickySchema, req, repro.StrategyFourier, writeWorkloadSpec) == releaserKey(plainSchema, req, repro.StrategyFourier, writeWorkloadSpec) {
 		t.Fatal("crafted attribute name collides two distinct schemas onto one key")
 	}
 }
@@ -740,10 +750,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerChargeCarriesSigma: a Gaussian release request records the
-// allocator's effective σ on its ledger charge (exact zCDP ρ = 1/(2σ²));
-// the cube endpoint, whose mechanism splits the budget internally, stays on
-// the (ε, δ) conversion.
+// TestServerChargeCarriesSigma: a Gaussian request records the allocator's
+// effective σ on its ledger charge (exact zCDP ρ = 1/(2σ²)) — for a cube
+// too, whose release runs through a Releaser over the lattice workload like
+// any other.
 func TestServerChargeCarriesSigma(t *testing.T) {
 	s := newTestServer(t, testConfig())
 	if rec := post(t, s, "/v1/release", testBody(map[string]any{"delta": 1e-6})); rec.Code != http.StatusOK {
@@ -761,7 +771,46 @@ func TestServerChargeCarriesSigma(t *testing.T) {
 		t.Fatalf("release charge recorded (σ=%v, Δ=%v), want (σ=%v, Δ=1)",
 			hist[0].Sigma, hist[0].Sensitivity, want)
 	}
-	if hist[1].Sigma != 0 {
-		t.Fatalf("cube charge must not carry a Gaussian description, got %+v", hist[1])
+	schema := repro.MustSchema([]repro.Attribute{
+		{Name: "color", Cardinality: 3},
+		{Name: "size", Cardinality: 2},
+		{Name: "grade", Cardinality: 4},
+	})
+	l, err := datacube.NewLattice(schema, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := repro.NewReleaser(schema, l.Workload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cubeSigma, err := rel.EffectiveSigma(context.Background(), repro.ReleaseSpec{Epsilon: 1, Delta: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(hist[1].Sigma-cubeSigma) > 1e-12*cubeSigma || hist[1].Sensitivity != 1 {
+		t.Fatalf("cube charge recorded (σ=%v, Δ=%v), want the lattice workload's (σ=%v, Δ=1)",
+			hist[1].Sigma, hist[1].Sensitivity, cubeSigma)
+	}
+}
+
+// TestInlineDomainBounded: inline data may span at most the cells of the
+// largest counts vector the body cap admits, MaxBodyBytes/8 — 2^22 at the
+// default 32 MiB, 2^13 at 64 KiB. Larger inline domains are a free 400
+// (see TestErrorStatusMapping for the 2^30-cell case).
+func TestInlineDomainBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBodyBytes = 64 << 10
+	s := newTestServer(t, cfg)
+	body := testBody(map[string]any{"schema": []map[string]any{{"name": "a", "cardinality": 1<<13 + 1}}, "rows": [][]int{{0}}})
+	if rec := post(t, s, "/v1/release", body); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "cell limit") {
+		t.Fatalf("2^14 cells under a 64 KiB cap: %d %s, want 400 naming the cell limit", rec.Code, rec.Body.String())
+	}
+	body["schema"] = []map[string]any{{"name": "a", "cardinality": 1 << 13}}
+	if rec := post(t, s, "/v1/release", body); rec.Code != http.StatusOK {
+		t.Fatalf("2^13 cells under a 64 KiB cap: %d %s, want 200", rec.Code, rec.Body.String())
+	}
+	if b := s.budget(); b.Releases != 1 {
+		t.Fatalf("ledger holds %d charges, want only the admitted release's", b.Releases)
 	}
 }

@@ -250,10 +250,13 @@ func TestZCDPServerAdmitsLongSequence(t *testing.T) {
 // leaving it a surprise.
 func TestChargeRetainedOnPostAdmissionFailure(t *testing.T) {
 	s := newTestServer(t, testConfig())
-	// Warm the Releaser registry so the next request reaches admission
+	// Warm the Releaser registry so the next requests reach admission
 	// (a cold registry fails during planning, before any charge).
 	if rec := post(t, s, "/v1/release", testBody(map[string]any{"epsilon": 0.5})); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up: %d", rec.Code)
+	}
+	if rec := post(t, s, "/v1/cube", testBody(map[string]any{"epsilon": 0.5, "max_order": 1})); rec.Code != http.StatusOK {
+		t.Fatalf("cube warm-up: %d", rec.Code)
 	}
 	spentBefore := s.budget().EpsilonSpent
 

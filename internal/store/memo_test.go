@@ -62,7 +62,20 @@ func releaseRun(schema *dataset.Schema, st strategy.Strategy, shards int) memoRu
 
 // releaseRunK releases all k-way marginals of the schema.
 func releaseRunK(schema *dataset.Schema, st strategy.Strategy, shards, k int) memoRun {
-	w := marginal.SchemaKWay(schema, k)
+	return workloadRun(marginal.SchemaKWay(schema, k), st, shards)
+}
+
+// cubeRun releases the order-2 datacube: the marginal workload of its
+// cuboid lattice, run through the same engine as any release.
+func cubeRun(schema *dataset.Schema, st strategy.Strategy, shards int) memoRun {
+	l, err := datacube.NewLattice(schema, 2)
+	if err != nil {
+		panic(err)
+	}
+	return workloadRun(l.Workload(), st, shards)
+}
+
+func workloadRun(w *marginal.Workload, st strategy.Strategy, shards int) memoRun {
 	return func(x *vector.Blocked, eps float64, seed int64) ([]float64, error) {
 		rel, err := engine.New(engine.Options{Workers: 2, Shards: shards}).RunVector(context.Background(), w, x, engine.Config{
 			Strategy:    st,
@@ -76,23 +89,6 @@ func releaseRunK(schema *dataset.Schema, st strategy.Strategy, shards, k int) me
 		}
 		out := append(append([]float64(nil), rel.Answers...), rel.CellVariances...)
 		return append(out, rel.TotalVariance), nil
-	}
-}
-
-func cubeRun(schema *dataset.Schema, st strategy.Strategy, shards int) memoRun {
-	return func(x *vector.Blocked, eps float64, seed int64) ([]float64, error) {
-		cube, err := datacube.ReleaseBlockedContext(context.Background(), schema, x, 2, datacube.Options{
-			Epsilon: eps, Seed: seed, Strategy: st, Workers: 2, Shards: shards,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var out []float64
-		for _, tab := range cube.Tables {
-			out = append(out, tab...)
-		}
-		out = append(out, cube.CellVariance...)
-		return append(out, cube.TotalVariance), nil
 	}
 }
 

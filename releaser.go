@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/accountant"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/noise"
@@ -433,13 +432,13 @@ func (r *Releaser) releaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 	if err := r.charge(ctx, spec); err != nil {
 		return nil, err
 	}
-	cons := core.WeightedL2Consistency
+	cons := engine.WeightedL2Consistency
 	if r.skipConsistency {
-		cons = core.NoConsistency
+		cons = engine.NoConsistency
 	}
-	budgeting := core.OptimalBudget
+	budgeting := engine.OptimalBudget
 	if r.uniformBudget {
-		budgeting = core.UniformBudget
+		budgeting = engine.UniformBudget
 	}
 	workers := r.workers
 	if spec.Workers > 0 {
@@ -452,7 +451,7 @@ func (r *Releaser) releaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 	rel, err := engine.NewWithStages(
 		engine.Options{Workers: workers, Shards: shards, Cache: r.cache},
 		stages,
-	).RunVector(ctx, r.w, x, core.Config{
+	).RunVector(ctx, r.w, x, engine.Config{
 		Strategy:     r.strategy.impl(),
 		Budgeting:    budgeting,
 		Consistency:  cons,
@@ -629,13 +628,13 @@ func (r *Releaser) params(spec ReleaseSpec) noise.Params {
 }
 
 // buildResult shapes an engine release into the public per-marginal form.
-func buildResult(w *Workload, schema *Schema, rel *core.Release) *Result {
+func buildResult(w *Workload, schema *Schema, rel *engine.Release) *Result {
 	res := &Result{
 		Answers:       rel.Answers,
 		TotalVariance: rel.TotalVariance,
 		Strategy:      rel.StrategyName,
 	}
-	per := core.PerMarginal(w, rel.Answers)
+	per := perMarginal(w, rel.Answers)
 	res.Tables = make([]MarginalTable, len(w.Marginals))
 	for i, m := range w.Marginals {
 		mt := MarginalTable{
@@ -654,4 +653,17 @@ func buildResult(w *Workload, schema *Schema, rel *core.Release) *Result {
 		res.Tables[i] = mt
 	}
 	return res
+}
+
+// perMarginal splits the concatenated answers into per-marginal tables,
+// each a copy.
+func perMarginal(w *Workload, answers []float64) [][]float64 {
+	out := make([][]float64, len(w.Marginals))
+	offsets := w.Offsets()
+	for i, m := range w.Marginals {
+		block := make([]float64, m.Cells())
+		copy(block, answers[offsets[i]:offsets[i]+m.Cells()])
+		out[i] = block
+	}
+	return out
 }

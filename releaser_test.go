@@ -6,6 +6,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"repro/internal/bits"
+	"repro/internal/marginal"
 )
 
 // TestReleaserMatchesFreeFunction: the service API and the legacy one-shot
@@ -312,5 +315,21 @@ func TestChargeCarriesSigma(t *testing.T) {
 	}
 	if hist[1].Sigma != 0 || hist[1].Sensitivity != 0 {
 		t.Fatalf("Laplace charge must not carry a Gaussian description, got %+v", hist[1])
+	}
+}
+
+func TestPerMarginal(t *testing.T) {
+	w := marginal.MustWorkload(3, []bits.Mask{0b100, 0b110})
+	answers := []float64{4, 1, 3, 1, 0, 1}
+	per := perMarginal(w, answers)
+	if len(per) != 2 || len(per[0]) != 2 || len(per[1]) != 4 {
+		t.Fatalf("perMarginal shapes wrong: %v", per)
+	}
+	if per[0][0] != 4 || per[1][3] != 1 {
+		t.Fatalf("perMarginal values wrong: %v", per)
+	}
+	per[0][0] = 99
+	if answers[0] == 99 {
+		t.Fatal("perMarginal must copy")
 	}
 }
