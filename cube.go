@@ -81,14 +81,33 @@ func ReleaseCubeBlockedContext(ctx context.Context, schema *Schema, counts *Bloc
 // sampled back into tuples under the schema. Post-processing adds no
 // privacy cost.
 //
+// Beyond materialising the vector (one inverse transform over the 2^d
+// domain), the cost is linear in the domain plus the rows emitted:
+// apportionment selects the largest remainders rather than sorting them,
+// and every row is a capacity-capped view of one backing array of
+// rows × attributes ints. The output for a given release and seed is fixed.
+//
 // The release must have been produced with consistency enabled (the
 // default); SkipConsistency releases carry no coefficients to materialise.
 func SyntheticData(s *Schema, w *Workload, res *Result, seed int64) (*Table, error) {
+	return syntheticData(context.Background(), s, w, res, seed)
+}
+
+// syntheticData is SyntheticData under ctx, checked between materialising,
+// apportioning and sampling: a large domain spends seconds there, and a
+// caller that has gone away should not pay for all of it.
+func syntheticData(ctx context.Context, s *Schema, w *Workload, res *Result, seed int64) (*Table, error) {
 	rel, err := ReleaseVectorCoefficients(s, w, res)
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	counts := synth.RoundToCounts(rel)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	tab, _ := synth.SampleTuples(s, counts, seed)
 	return tab, nil
 }

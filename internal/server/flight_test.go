@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro"
 )
 
 // waitFor polls cond until it holds or the deadline passes — the flight
@@ -29,7 +31,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestFlightGroupCoalesces: concurrent do calls on one key run fn once and
 // hand every caller the same payload; exactly one caller leads.
 func TestFlightGroupCoalesces(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup[[]byte]()
 	registered := make(chan struct{})
 	var regOnce sync.Once
 	g.barrier = func(string) { regOnce.Do(func() { close(registered) }) }
@@ -86,7 +88,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 // returns its ctx error immediately while the leader keeps running and
 // completes for everyone else.
 func TestFlightFollowerCancelDetaches(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup[[]byte]()
 	registered := make(chan struct{})
 	var regOnce sync.Once
 	g.barrier = func(string) { regOnce.Do(func() { close(registered) }) }
@@ -135,7 +137,7 @@ func TestFlightFollowerCancelDetaches(t *testing.T) {
 // TestFlightLeaderCancelRetries: a follower handed a leader's cancellation
 // does not inherit the 499 — it contends for a fresh flight and executes.
 func TestFlightLeaderCancelRetries(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup[[]byte]()
 	registered := make(chan struct{})
 	var regOnce sync.Once
 	g.barrier = func(string) { regOnce.Do(func() { close(registered) }) }
@@ -276,5 +278,49 @@ func TestFailFlightChargeFraming(t *testing.T) {
 	// Cancellations keep their 499 through the wrapper.
 	if got := statusCode(retainedChargeError{context.Canceled}); got != statusClientClosedRequest {
 		t.Fatalf("wrapped cancellation mapped to %d, want %d", got, statusClientClosedRequest)
+	}
+}
+
+// TestReleaserBuildSingleFlight: concurrent cold requests for one registry
+// key wait for one Releaser construction (one plan). When the building
+// leader's own context is cancelled, a live waiter retries the build under
+// its own context instead of inheriting the cancellation.
+func TestReleaserBuildSingleFlight(t *testing.T) {
+	s := newTestServer(t, testConfig())
+	schema := repro.MustSchema([]repro.Attribute{{Name: "a", Cardinality: 3}, {Name: "b", Cardinality: 2}})
+	req := &releaseRequest{Workload: workloadJSON{K: 2}}
+	key := releaserKey(schema, req, repro.StrategyFourier, writeWorkloadSpec)
+	build := func(ctx context.Context) (*repro.Releaser, error) {
+		return s.releaser(ctx, key, schema, req, repro.StrategyFourier, requestWorkload)
+	}
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	var leaders atomic.Int32
+	s.builds.barrier = func(key string) {
+		if leaders.Add(1) == 1 {
+			// Line up one waiter behind the first leader, then cancel the
+			// leader before it builds.
+			waitFor(t, "waiter to join", func() bool { return s.builds.waiting(key) == 1 })
+			cancelLeader()
+		}
+	}
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := build(leaderCtx)
+		leaderErr <- err
+	}()
+	waitFor(t, "leader to start", func() bool { return leaders.Load() == 1 })
+	r, err := build(context.Background())
+	if err != nil {
+		t.Fatalf("live waiter inherited the leader's failure: %v", err)
+	}
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader: err = %v, want context.Canceled", err)
+	}
+	if got := leaders.Load(); got != 2 {
+		t.Fatalf("%d builds led, want 2 (the cancelled one and the waiter's retry)", got)
+	}
+	if again, err := build(context.Background()); err != nil || again != r {
+		t.Fatalf("registered Releaser not reused: %v", err)
 	}
 }

@@ -289,8 +289,9 @@ type Server struct {
 	ledgers *repro.BudgetRegistry
 	keys    map[string]bool // valid API keys; empty map = auth disabled
 	cache   *repro.PlanCache
-	results *rescache.Cache // nil when ResultCacheSize < 0
-	flights *flightGroup    // single-flight coalescing over result keys
+	results *rescache.Cache               // nil when ResultCacheSize < 0
+	flights *flightGroup[[]byte]          // single-flight coalescing over result keys
+	builds  *flightGroup[*repro.Releaser] // single-flight Releaser construction per registry key
 	store   *store.Store
 	fabric  *fabric.Coordinator // nil without FabricWorkers
 	mux     *http.ServeMux
@@ -387,7 +388,8 @@ func New(cfg Config) (*Server, error) {
 		cache:     repro.NewPlanCacheSize(cfg.CacheSize),
 		store:     st,
 		releasers: map[string]*repro.Releaser{},
-		flights:   newFlightGroup(),
+		flights:   newFlightGroup[[]byte](),
+		builds:    newFlightGroup[*repro.Releaser](),
 		tele:      tele,
 		log:       cfg.Logger,
 		metrics:   map[string]*endpointMetrics{},
@@ -1023,7 +1025,8 @@ var releaseEndpoint = &endpoint{
 	workloadKey: writeWorkloadSpec,
 	workload:    requestWorkload,
 	label:       func(*releaseRequest) string { return "release" },
-	render: func(_ context.Context, _ *repro.Releaser, _ *releaseRequest, res *repro.Result) ([]byte, error) {
+	render: func(ctx context.Context, _ *repro.Releaser, _ *releaseRequest, res *repro.Result) ([]byte, error) {
+		defer startEncode(ctx).End()
 		return json.Marshal(releaseBody{
 			Strategy:      res.Strategy,
 			TotalVariance: res.TotalVariance,
@@ -1059,11 +1062,12 @@ var syntheticEndpoint = &endpoint{
 		if err != nil {
 			return nil, err
 		}
+		defer startEncode(ctx).End()
 		rows := syn.Rows
 		if rows == nil {
 			rows = [][]int{}
 		}
-		return json.Marshal(syntheticBody{Strategy: res.Strategy, Count: syn.Count(), Rows: rows})
+		return encodeSyntheticBody(syntheticBody{Strategy: res.Strategy, Count: syn.Count(), Rows: rows})
 	},
 }
 
@@ -1095,13 +1099,20 @@ var cubeEndpoint = &endpoint{
 		return l.Workload(), nil
 	},
 	label: func(req *releaseRequest) string { return fmt.Sprintf("cube-%d-way", req.MaxOrder) },
-	render: func(_ context.Context, _ *repro.Releaser, req *releaseRequest, res *repro.Result) ([]byte, error) {
+	render: func(ctx context.Context, _ *repro.Releaser, req *releaseRequest, res *repro.Result) ([]byte, error) {
+		defer startEncode(ctx).End()
 		return json.Marshal(cubeBody{
 			MaxOrder:      req.MaxOrder,
 			TotalVariance: res.TotalVariance,
 			Cuboids:       tablesJSON(res),
 		})
 	},
+}
+
+// startEncode opens the span around an endpoint's JSON encoding, a child
+// of the request root (a sibling of sample on /v1/synthetic).
+func startEncode(ctx context.Context) *telemetry.Span {
+	return telemetry.TraceFrom(ctx).Root().Start("encode")
 }
 
 // serveRelease is the one pipeline behind every release-shaped endpoint:
@@ -1568,19 +1579,54 @@ func validateSpec(req *releaseRequest) error {
 // Construction — which pre-plans, for the cluster strategy an expensive
 // search — happens OUTSIDE the registry lock and under the request's
 // context: one slow cold-start must not block requests for already-warm
-// keys, and a client that gives up aborts its own planning. Two racing
-// cold-starts may both plan; the loser's work is not wasted because both
-// share s.cache, and only one Releaser is registered.
+// keys, and a client that gives up aborts its own planning. Construction
+// is single-flight per key: concurrent cold requests for one key wait for
+// one build (one plan) instead of racing their own. A waiter whose leader
+// failed because the leader's own context was cancelled retries the build
+// under its own context; any other failure is the key's and is shared.
 func (s *Server) releaser(ctx context.Context, key string, schema *repro.Schema, req *releaseRequest, kind repro.StrategyKind,
 	workload func(*repro.Schema, *releaseRequest) (*repro.Workload, error)) (*repro.Releaser, error) {
-	s.mu.Lock()
-	r, ok := s.releasers[key]
-	s.mu.Unlock()
-	if ok {
+	if r, ok := s.registered(key); ok {
 		// The key pins the workload spec, which resolved without error
 		// when this Releaser was built.
 		return r, nil
 	}
+	r, _, err := s.builds.do(ctx, key, func() (*repro.Releaser, error) {
+		// A build that finished between the lookup above and this flight
+		// has already registered its Releaser.
+		if r, ok := s.registered(key); ok {
+			return r, nil
+		}
+		r, err := s.newReleaser(ctx, schema, req, kind, workload)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		for len(s.releasers) >= s.cfg.MaxReleasers {
+			oldest := s.order[0]
+			s.order = s.order[1:]
+			delete(s.releasers, oldest)
+		}
+		s.releasers[key] = r
+		s.order = append(s.order, key)
+		s.mu.Unlock()
+		return r, nil
+	}, nil)
+	return r, err
+}
+
+// registered looks key up in the Releaser registry.
+func (s *Server) registered(key string) (*repro.Releaser, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.releasers[key]
+	return r, ok
+}
+
+// newReleaser builds the request's workload and a Releaser over it, which
+// pre-plans under ctx.
+func (s *Server) newReleaser(ctx context.Context, schema *repro.Schema, req *releaseRequest, kind repro.StrategyKind,
+	workload func(*repro.Schema, *releaseRequest) (*repro.Workload, error)) (*repro.Releaser, error) {
 	w, err := workload(schema, req)
 	if err != nil {
 		return nil, err
@@ -1607,24 +1653,7 @@ func (s *Server) releaser(ctx context.Context, key string, schema *repro.Schema,
 		// it never changes a released bit.
 		opts = append(opts, repro.WithFabric(s.fabric))
 	}
-	r, err = repro.NewReleaserContext(ctx, schema, w, opts...)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if existing, ok := s.releasers[key]; ok {
-		r = existing
-	} else {
-		for len(s.releasers) >= s.cfg.MaxReleasers {
-			oldest := s.order[0]
-			s.order = s.order[1:]
-			delete(s.releasers, oldest)
-		}
-		s.releasers[key] = r
-		s.order = append(s.order, key)
-	}
-	s.mu.Unlock()
-	return r, nil
+	return repro.NewReleaserContext(ctx, schema, w, opts...)
 }
 
 // releaserKey fingerprints everything structural about a request; the

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -185,13 +186,44 @@ func TestDebugTiming(t *testing.T) {
 		stages[sp.Name] = true
 		sum += sp.DurationMS
 	}
-	for _, want := range []string{"plan", "allocate", "measure", "recover", "consist", "charge"} {
+	for _, want := range []string{"plan", "allocate", "measure", "recover", "consist", "charge", "encode"} {
 		if !stages[want] {
 			t.Errorf("timing tree missing %q span (have %v)", want, tree.Spans)
 		}
 	}
 	if sum > tree.DurationMS {
 		t.Errorf("child spans sum to %gms > root %gms", sum, tree.DurationMS)
+	}
+
+	// Every release-shaped endpoint times its JSON encoding; on
+	// /v1/synthetic the encode span follows sample as its sibling.
+	for path, extra := range map[string]map[string]any{
+		"/v1/cube":      {"max_order": 1},
+		"/v1/synthetic": {"synthetic_seed": 3},
+	} {
+		b := datasetBody("people", map[string]any{"debug_timing": true, "seed": 5})
+		for k, v := range extra {
+			b[k] = v
+		}
+		rec := post(t, s, path, b)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+		}
+		tree := decode[timed](t, rec).Timing
+		if tree == nil {
+			t.Fatalf("%s: no timing field", path)
+		}
+		var names []string
+		for _, sp := range tree.Spans {
+			names = append(names, sp.Name)
+		}
+		want := []string{"encode"}
+		if path == "/v1/synthetic" {
+			want = []string{"sample", "encode"}
+		}
+		if got := names[len(names)-len(want):]; !slices.Equal(got, want) {
+			t.Errorf("%s: last root children %v, want %v", path, names, want)
+		}
 	}
 
 	// The identical request replays from the result cache — and still

@@ -9,12 +9,21 @@
 // values and apportioning the target total over the largest remainders
 // yields an integral, non-negative table whose marginals approximate the
 // released ones; SampleTuples turns it back into row-level synthetic data.
+//
+// Cost model: beyond MaterializeVector's one transform, both steps are
+// linear. RoundToCounts finds the winning remainders by selection and
+// falls back to a full sort only when a tie straddles the boundary;
+// SampleTuples shuffles one int32 cell index per row and decodes the rows,
+// in their final order, into one backing array. Both reproduce the
+// historical sort-and-copy implementations bit for bit (see oracle_test.go).
 package synth
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	mathbits "math/bits"
+	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/dataset"
@@ -48,38 +57,37 @@ func MaterializeVector(d int, coeff map[bits.Mask]float64) ([]float64, error) {
 // integer counts that sum to the nearest integer of the vector's total
 // (largest-remainder apportionment after clamping). The result is a valid
 // contingency table.
+//
+// It runs in linear time: the m units left after flooring go to the m
+// largest fractional remainders, found by selecting the m-th largest
+// remainder θ rather than sorting them all. When a tie at θ straddles the
+// boundary, which of the tied cells wins is decided by the same pdqsort
+// order a full sort of the remainders gives, so the counts never depend on
+// which path ran.
 func RoundToCounts(x []float64) []int64 {
-	clamped := make([]float64, len(x))
+	out := make([]int64, len(x))
 	total := 0.0
+	var assigned int64
+	nfrac := 0
 	for i, v := range x {
 		if v > 0 {
-			clamped[i] = v
 			total += v
+			fl := math.Floor(v)
+			out[i] = int64(fl)
+			assigned += int64(fl)
+			if v > fl {
+				nfrac++
+			}
 		}
 	}
 	target := int64(math.Round(total))
 	if target < 0 {
 		target = 0
 	}
-	out := make([]int64, len(x))
-	var assigned int64
-	type frac struct {
-		idx int
-		f   float64
-	}
-	fracs := make([]frac, 0, len(x))
-	for i, v := range clamped {
-		fl := math.Floor(v)
-		out[i] = int64(fl)
-		assigned += int64(fl)
-		if v > fl {
-			fracs = append(fracs, frac{i, v - fl})
-		}
-	}
-	sort.Slice(fracs, func(a, b int) bool { return fracs[a].f > fracs[b].f })
-	for i := 0; assigned < target && i < len(fracs); i++ {
-		out[fracs[i].idx]++
-		assigned++
+	if m := target - assigned; m > 0 && nfrac > 0 {
+		k := int(min(m, int64(nfrac)))
+		apportion(x, out, nfrac, k)
+		assigned += int64(k)
 	}
 	// If clamping removed too much mass relative to the rounded target,
 	// top up the largest cells (keeps totals exact).
@@ -90,31 +98,183 @@ func RoundToCounts(x []float64) []int64 {
 	return out
 }
 
+// apportion adds one unit to each of the m cells of x with the largest
+// fractional remainders (0 < m ≤ nfrac, nfrac the number of cells with a
+// non-zero remainder).
+func apportion(x []float64, out []int64, nfrac, m int) {
+	rem := make([]float64, 0, nfrac)
+	for _, v := range x {
+		if f, ok := remainder(v); ok {
+			rem = append(rem, f)
+		}
+	}
+	theta := kthLargest(rem, m)
+	atLeast := 0
+	for _, f := range rem {
+		if f >= theta {
+			atLeast++
+		}
+	}
+	if atLeast == m {
+		// The winners are exactly the remainders ≥ θ.
+		for i, v := range x {
+			if f, ok := remainder(v); ok && f >= theta {
+				out[i]++
+			}
+		}
+		return
+	}
+	// A tie at θ crosses the boundary: only some tied cells win, and which
+	// ones is whatever order a descending sort of (cell, remainder) pairs
+	// leaves them in. slices.SortFunc runs the same pdqsort as sort.Slice
+	// under an equivalent comparator, so the winners match the historical
+	// full sort exactly.
+	type frac struct {
+		idx int
+		f   float64
+	}
+	fracs := make([]frac, 0, nfrac)
+	for i, v := range x {
+		if f, ok := remainder(v); ok {
+			fracs = append(fracs, frac{i, f})
+		}
+	}
+	slices.SortFunc(fracs, func(a, b frac) int { return cmp.Compare(b.f, a.f) })
+	for _, fr := range fracs[:m] {
+		out[fr.idx]++
+	}
+}
+
+// remainder returns the fractional part of v clamped at zero, and whether
+// it is non-zero.
+func remainder(v float64) (float64, bool) {
+	if !(v > 0) {
+		return 0, false
+	}
+	fl := math.Floor(v)
+	return v - fl, v > fl
+}
+
+// kthLargest returns the k-th largest value of a (1 ≤ k ≤ len(a), no NaN),
+// permuting a. It is a deterministic quickselect (median-of-three pivot,
+// three-way partition so runs of equal values cost one pass); past a
+// logarithmic round budget it sorts what is left, bounding the worst case
+// at O(n log n).
+func kthLargest(a []float64, k int) float64 {
+	t := len(a) - k // the k-th largest sits at ascending index len(a)-k
+	lo, hi := 0, len(a)
+	for budget := 2 * mathbits.Len(uint(len(a))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo:hi])
+			break
+		}
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case t < lt:
+			hi = lt
+		case t >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return a[t]
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
+}
+
 // SampleTuples draws row-level synthetic data from integer counts under a
 // schema: every unit of count becomes one tuple, emitted in random order.
 // Counts on invalid (padding) cells are skipped and reported.
+//
+// The cost is linear in the domain plus the rows emitted, with a constant
+// number of allocations: one int32 cell index per row is shuffled, then the
+// rows are decoded in their final order into a single backing array, each
+// row a capacity-capped view of it (appending to one never overwrites its
+// neighbour).
 func SampleTuples(s *dataset.Schema, counts []int64, seed int64) (*dataset.Table, int64) {
 	// noise.NewSource(seed) reproduces rand.New(rand.NewSource(seed))
 	// bit-for-bit, so the emitted row order is unchanged by routing the
 	// shuffle through the sanctioned Source (seedflow invariant); pinned by
 	// TestSampleTuplesBitStable.
 	rng := noise.NewSource(seed)
-	var rows [][]int
+	type field struct {
+		shift uint
+		mask  int
+		card  int
+	}
+	fields := make([]field, len(s.Attrs))
+	padded := false // some attribute leaves codes unused: validity needs checking
+	for i, a := range s.Attrs {
+		fields[i] = field{uint(s.Offset(i)), 1<<uint(a.BitWidth()) - 1, a.Cardinality}
+		padded = padded || fields[i].mask+1 != a.Cardinality
+	}
+	var positive int64
+	for _, c := range counts {
+		if c > 0 {
+			positive += c
+		}
+	}
+	// One entry per emitted row; skipped padding mass only leaves spare
+	// capacity behind.
+	cells := make([]int32, 0, positive)
 	var skipped int64
+cell:
 	for idx, c := range counts {
 		if c <= 0 {
 			continue
 		}
-		if !s.IsValid(idx) {
-			skipped += c
-			continue
+		if padded {
+			for _, f := range fields {
+				if idx>>f.shift&f.mask >= f.card {
+					skipped += c
+					continue cell
+				}
+			}
 		}
-		tuple := s.Decode(idx)
 		for k := int64(0); k < c; k++ {
-			rows = append(rows, append([]int(nil), tuple...))
+			cells = append(cells, int32(idx))
 		}
 	}
-	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	// The shuffle's swap sequence depends only on the row count, so
+	// permuting cell indices permutes rows exactly as shuffling the decoded
+	// rows would.
+	rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
+	var rows [][]int
+	if len(cells) > 0 {
+		d := len(fields)
+		buf := make([]int, len(cells)*d)
+		rows = make([][]int, len(cells))
+		for k, c := range cells {
+			row := buf[k*d : (k+1)*d : (k+1)*d]
+			for i := range row {
+				row[i] = int(c) >> fields[i].shift & fields[i].mask
+			}
+			rows[k] = row
+		}
+	}
 	return &dataset.Table{Schema: s, Rows: rows}, skipped
 }
 

@@ -221,3 +221,18 @@ func BenchmarkMaterializeD16(b *testing.B) {
 		}
 	}
 }
+
+// TestSampleTuplesAllocs pins SampleTuples to a constant number of
+// allocations at the NLTCS shape: cell indices, one backing array and the
+// row headers, not one slice per row.
+func TestSampleTuplesAllocs(t *testing.T) {
+	s := dataset.NLTCSSchema()
+	counts := make([]int64, s.DomainSize())
+	rng := rand.New(rand.NewSource(9))
+	for i := range counts {
+		counts[i] = int64(rng.Intn(2))
+	}
+	if got := testing.AllocsPerRun(3, func() { SampleTuples(s, counts, 5) }); got > 16 {
+		t.Fatalf("SampleTuples: %v allocs/op, want ≤ 16", got)
+	}
+}

@@ -498,8 +498,10 @@ func (r *Releaser) ReleaseDataset(ctx context.Context, h *DatasetHandle, spec Re
 }
 
 // Synthetic converts a consistent release from this Releaser into row-level
-// synthetic microdata (see SyntheticData). Post-processing adds no privacy
-// cost: the ledger is not charged.
+// synthetic microdata (see SyntheticData for the output and its cost).
+// Post-processing adds no privacy cost: the ledger is not charged. ctx is
+// checked on entry and between materialising, apportioning and sampling, so
+// a cancelled caller stops paying after the step in progress.
 func (r *Releaser) Synthetic(ctx context.Context, res *Result, seed int64) (*Table, error) {
 	if r.schema == nil {
 		return nil, fmt.Errorf("%w: Releaser has no schema; synthetic data needs one", ErrInvalidOption)
@@ -507,7 +509,7 @@ func (r *Releaser) Synthetic(ctx context.Context, res *Result, seed int64) (*Tab
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return SyntheticData(r.schema, r.w, res, seed)
+	return syntheticData(ctx, r.schema, r.w, res, seed)
 }
 
 // EffectiveSigma describes one release at the spec's privacy parameters as

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bits"
 	"repro/internal/marginal"
@@ -242,6 +243,68 @@ func TestReleaserSynthetic(t *testing.T) {
 	}
 	if eps, _ := r.Ledger().Spent(); eps != 2 {
 		t.Fatalf("synthetic generation changed spend to %v", eps)
+	}
+}
+
+// TestReleaserSyntheticHonoursDeadline: synthetic generation checks its
+// context between materialising, apportioning and sampling, not only on
+// entry. At the Adult shape (2^23 cells) each step takes milliseconds, so
+// a 1 ms deadline must stop the call with the deadline's error.
+func TestReleaserSyntheticHonoursDeadline(t *testing.T) {
+	tab := SyntheticAdult(1, 2000)
+	w := AllKWayMarginals(tab.Schema, 1)
+	r, err := NewReleaser(tab.Schema, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Release(context.Background(), tab, ReleaseSpec{Epsilon: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := r.Synthetic(ctx, res, 4); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Synthetic under a 1 ms deadline: err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// expiresAfter is a context whose Err turns to DeadlineExceeded after a
+// fixed number of calls: it pins where the checks are, independent of
+// timing.
+type expiresAfter struct {
+	context.Context
+	left int
+}
+
+func (c *expiresAfter) Err() error {
+	if c.left > 0 {
+		c.left--
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestReleaserSyntheticChecksBetweenSteps: a context that expires after
+// the entry check (or after the first mid-pipeline check) still stops the
+// call; one that never expires lets it finish.
+func TestReleaserSyntheticChecksBetweenSteps(t *testing.T) {
+	tab := smallTable()
+	w := AllKWayMarginals(tab.Schema, 2)
+	r, err := NewReleaser(tab.Schema, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Release(context.Background(), tab, ReleaseSpec{Epsilon: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for left := 0; left < 3; left++ {
+		if _, err := r.Synthetic(&expiresAfter{context.Background(), left}, res, 8); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("context expiring after %d checks: err = %v, want DeadlineExceeded", left, err)
+		}
+	}
+	if _, err := r.Synthetic(&expiresAfter{context.Background(), 3}, res, 8); err != nil {
+		t.Errorf("context outliving every check: %v", err)
 	}
 }
 
