@@ -31,12 +31,12 @@ import (
 var DetMap = &Analyzer{
 	Name: "detmap",
 	Doc:  "flag map iteration feeding order-sensitive sinks in determinism-critical packages",
-	// The seven pipeline packages the bit-identity contract names, plus
+	// The six pipeline packages the bit-identity contract names, plus
 	// the layers that must stay byte-stable for snapshots (store) and
 	// replayed cached payloads (rescache, server).
 	Packages: []string{
 		"internal/engine", "internal/strategy", "internal/vector",
-		"internal/consistency", "internal/transform", "internal/fabric",
+		"internal/consistency", "internal/transform",
 		"internal/telemetry", "internal/store", "internal/rescache",
 		"internal/server",
 	},

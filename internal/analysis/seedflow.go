@@ -32,7 +32,7 @@ var SeedFlow = &Analyzer{
 	Doc:  "forbid math/rand, crypto/rand and clock-derived seeds in pipeline packages",
 	Packages: []string{
 		"internal/engine", "internal/strategy", "internal/vector",
-		"internal/consistency", "internal/transform", "internal/fabric",
+		"internal/consistency", "internal/transform",
 		"internal/recovery", "internal/synth",
 		"internal/rangequery", "internal/datacube", "internal/marginal",
 		"internal/budget", "internal/bits", "internal/linalg", "internal/lp",

@@ -115,6 +115,6 @@
 // nothing persists, snapshots or logs it. The engine never writes its
 // input vector, which is what keeps a memoized answer valid for the
 // version's lifetime. Unsealed inputs and caller-supplied Measure stages
-// (such as the fabric's) never consult it; the measure span reports
-// answers=memo or answers=computed.
+// never consult it; the measure span reports answers=memo or
+// answers=computed.
 package engine

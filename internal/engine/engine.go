@@ -732,55 +732,6 @@ feed:
 	return ctx.Err()
 }
 
-// PerturbRangeContext adds the release's noise to the strategy rows
-// [lo, lo+len(out)), writing row r's draw into out[r-lo] — the primitive a
-// remote shard uses to reproduce its slice of the full perturbation without
-// holding the whole vector. It replays exactly the draws Perturb makes for
-// those rows: the row grid is the same fixed noiseBlock partition, and
-// because the number of raw uniforms consumed per row is variable (the
-// Gaussian ziggurat and the Laplace draw both reject), a range that starts
-// mid-block must reseed at the block boundary and burn the leading rows'
-// draws rather than jump the stream. That burn-in is at most noiseBlock-1
-// rows per group and is the price of bit-identity.
-//
-// Groups must be the full release's group list in original order (position
-// g selects the substream), exactly as passed to Perturb. out is
-// accumulated into (+=), matching Perturb's contract.
-func PerturbRangeContext(ctx context.Context, out []float64, lo int, groups []NoiseGroup, p noise.Params, seed int64) error {
-	hi := lo + len(out)
-	src := noise.NewSubstream(seed, 0)
-	for g, grp := range groups {
-		if grp.Start+grp.Count <= lo || grp.Start >= hi {
-			continue
-		}
-		for b := 0; b < grp.Count; b += noiseBlock {
-			n := noiseBlock
-			if grp.Count-b < n {
-				n = grp.Count - b
-			}
-			bLo := grp.Start + b
-			bHi := bLo + n
-			if bHi <= lo {
-				continue
-			}
-			if bLo >= hi {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			src.Reseed(seed, uint64(g)<<32|uint64(b/noiseBlock))
-			for r := bLo; r < bHi; r++ {
-				v := p.RowNoise(src, grp.Eta)
-				if r >= lo && r < hi {
-					out[r-lo] += v
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // Recoverer is the default RecoverStage. When the plan supports per-marginal
 // recovery and more than one worker is available, marginals recover
 // concurrently, each reading the shards of z it needs (merged shard

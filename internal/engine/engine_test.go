@@ -319,48 +319,6 @@ func TestPerturbBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestPerturbRangeBitIdentity: PerturbRangeContext reproduces exactly the
-// draws Perturb makes for an arbitrary row range — including ranges that
-// start mid-noise-block (forcing burn-in of the leading rows' draws) and
-// ranges spanning group boundaries — for both noise types.
-func TestPerturbRangeBitIdentity(t *testing.T) {
-	groups := []NoiseGroup{
-		{Start: 0, Count: noiseBlock + 100, Eta: 0.4},
-		{Start: noiseBlock + 100, Count: 37, Eta: 0.9},
-		{Start: noiseBlock + 137, Count: 2*noiseBlock + 5, Eta: 0.2},
-	}
-	total := 3*noiseBlock + 142
-	params := []noise.Params{
-		pureParams(1),
-		{Type: noise.ApproxDP, Epsilon: 1, Delta: 1e-6, Neighbor: noise.AddRemove},
-	}
-	ranges := [][2]int{
-		{0, total},                               // whole vector
-		{0, 10},                                  // prefix
-		{total - 10, total},                      // suffix
-		{noiseBlock - 3, noiseBlock + 3},         // straddles a noise-block boundary
-		{noiseBlock + 90, noiseBlock + 150},      // straddles two group boundaries
-		{17, 17},                                 // empty
-		{2*noiseBlock + 200, 2*noiseBlock + 201}, // single mid-block row
-	}
-	for _, p := range params {
-		full := make([]float64, total)
-		Perturb(full, groups, p, 42, 3)
-		for _, r := range ranges {
-			lo, hi := r[0], r[1]
-			got := make([]float64, hi-lo)
-			if err := PerturbRangeContext(context.Background(), got, lo, groups, p, 42); err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(full[lo+i]) {
-					t.Fatalf("%v range [%d,%d): row %d differs from full perturb", p.Type, lo, hi, lo+i)
-				}
-			}
-		}
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := 4

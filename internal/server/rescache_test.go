@@ -251,3 +251,45 @@ func TestResultCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestResultCacheAppendInvalidation: ?mode=append installs a new dataset
+// version, so a cached release for the old bits can never replay — the
+// same request re-runs against the new counts (and re-charges).
+func TestResultCacheAppendInvalidation(t *testing.T) {
+	nd := testNDJSON(t)
+	s := newTestServer(t, testConfig())
+	if rec := putDataset(t, s, "people", nd); rec.Code != http.StatusCreated {
+		t.Fatalf("ingest: %d", rec.Code)
+	}
+	body := testBody(nil)
+	delete(body, "rows")
+	delete(body, "schema")
+	body["dataset_id"] = "people"
+
+	before := post(t, s, "/v1/release", body)
+	if before.Code != http.StatusOK {
+		t.Fatalf("release: %d", before.Code)
+	}
+	req := httptest.NewRequest(http.MethodPut, "/v1/datasets/people?mode=append", strings.NewReader(nd))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+	}
+	after := post(t, s, "/v1/release", body)
+	if after.Code != http.StatusOK {
+		t.Fatalf("release after append: %d", after.Code)
+	}
+	a := bodyMinusBudget(t, before.Body.Bytes())
+	b := bodyMinusBudget(t, after.Body.Bytes())
+	if string(a["tables"]) == string(b["tables"]) {
+		t.Fatal("release after append replayed the pre-append tables — stale cache entry served")
+	}
+	m := decode[metricsResponse](t, do(t, s, http.MethodGet, "/v1/metrics"))
+	if m.ResultCache.Hits != 0 || m.ResultCache.Misses != 2 {
+		t.Fatalf("result cache %+v, want 2 misses and no hits across an append", m.ResultCache)
+	}
+	// The new version's entry replays normally.
+	replay := post(t, s, "/v1/release", body)
+	sameBody(t, "post-append replay", b, bodyMinusBudget(t, replay.Body.Bytes()))
+}

@@ -132,12 +132,10 @@ func (h *Handle) Version() int64 { return h.d.version }
 // Fingerprint returns a content hash of the dataset — schema layout plus
 // every cell of the aggregated counts, in cell order. Unlike Version it is
 // a pure function of the data, so two processes that ingested the same
-// stream (or loaded the same snapshot) report the same fingerprint. The
-// distributed release fabric uses it as the dataset handshake: a worker
-// executes a shard task only when its resident copy's fingerprint matches
-// the coordinator's, because equal fingerprints (same schema, same counts,
-// bit for bit) are exactly the precondition for the shard's answers being
-// bit-identical to the coordinator computing them locally.
+// stream (or loaded the same snapshot) report the same fingerprint. GET
+// /v1/datasets shows it (Info.Fingerprint), so an operator can confirm
+// that two copies of a dataset hold the same counts bit for bit, and
+// therefore release the same bits at the same seed.
 func (h *Handle) Fingerprint() uint64 { return h.d.fprint }
 
 // Created returns the ingestion time.

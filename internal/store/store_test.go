@@ -321,8 +321,8 @@ func TestVersionAndChangeHook(t *testing.T) {
 // TestFingerprintHandshake: the fingerprint is a pure function of the data —
 // equal across processes that ingested the same stream and across snapshot
 // reload (where the process-local Version is reassigned) — and changes
-// whenever the counts do. This is the property the distributed release
-// fabric's stale-task handshake rests on.
+// whenever the counts do. That is what lets an operator compare two
+// copies of a dataset by the fingerprint GET /v1/datasets shows.
 func TestFingerprintHandshake(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
