@@ -26,6 +26,7 @@ package accountant
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -55,12 +56,19 @@ type Charge struct {
 
 // Accountant is a concurrency-safe privacy ledger. The zero value is not
 // usable; construct with New or NewComposed.
+//
+// Under the built-in compositions a ledger keeps Compose's running sums
+// (tally), so admission and Spent cost the same at the millionth charge as
+// at the first; only a refund re-reads the history. A custom Composition
+// is composed over the whole history on every call.
 type Accountant struct {
 	mu      sync.Mutex
 	epsCap  float64
 	delCap  float64
 	comp    Composition
 	charges []Charge
+	run     running // comp's running form; nil for custom compositions
+	sums    tally
 }
 
 // New builds an accountant with the given total (ε, δ) cap and the Basic
@@ -91,7 +99,8 @@ func NewComposed(epsilonCap, deltaCap float64, comp Composition) (*Accountant, e
 				z.TargetDelta, deltaCap)
 		}
 	}
-	return &Accountant{epsCap: epsilonCap, delCap: deltaCap, comp: comp}, nil
+	run, _ := comp.(running)
+	return &Accountant{epsCap: epsilonCap, delCap: deltaCap, comp: comp, run: run}, nil
 }
 
 // Composition returns the ledger's accounting mode.
@@ -111,7 +120,39 @@ func (a *Accountant) Spent() (epsilon, delta float64) {
 }
 
 func (a *Accountant) spentLocked() (float64, float64) {
+	if a.run != nil {
+		return a.run.convert(a.sums.total())
+	}
 	return a.comp.Compose(a.charges)
+}
+
+// candidateLocked is the composed spend as it would be with c recorded;
+// it records nothing.
+func (a *Accountant) candidateLocked(c Charge) (float64, float64) {
+	if a.run == nil {
+		eps, del := a.comp.Compose(append(a.charges, c))
+		return eps, del
+	}
+	return a.run.convert(a.sums.with(c.Partition, a.run.cost(c)))
+}
+
+// recordLocked appends c to the history and the running sums.
+func (a *Accountant) recordLocked(c Charge) {
+	a.charges = append(a.charges, c)
+	if a.run != nil {
+		a.sums.add(c.Partition, a.run.cost(c))
+	}
+}
+
+// resumLocked rebuilds the running sums from the history.
+func (a *Accountant) resumLocked() {
+	if a.run == nil {
+		return
+	}
+	a.sums = tally{}
+	for _, c := range a.charges {
+		a.sums.add(c.Partition, a.run.cost(c))
+	}
 }
 
 // Remaining returns the unspent budget, clamped at zero: the admission
@@ -131,32 +172,30 @@ func (a *Accountant) Charge(c Charge) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.charges = append(a.charges, c)
-	eps, del := a.spentLocked()
+	eps, del := a.candidateLocked(c)
 	if eps > a.epsCap+1e-12 || del > a.delCap+1e-15 {
-		a.charges = a.charges[:len(a.charges)-1]
-		// Prior spend is recomputed with the candidate popped — only on
-		// this rare refusal path, keeping admission at one Compose. Under
-		// parallel composition (and zCDP's non-additive conversion) the
-		// composed total minus the charge's own (ε, δ) is NOT the prior
-		// spend: a refused charge in a non-maximal partition would report
-		// garbage, possibly negative.
+		// The prior spend is composed on its own, never derived from the
+		// candidate: under parallel composition (and zCDP's non-additive
+		// conversion) the composed total minus the charge's own (ε, δ) is
+		// NOT the prior spend — a refused charge in a non-maximal
+		// partition would report garbage, possibly negative.
 		priorEps, priorDel := a.spentLocked()
 		return fmt.Errorf("%w: charge %q (ε=%v, δ=%v) would raise spend from (%v, %v) to (%v, %v), beyond cap (%v, %v)",
 			ErrBudgetExceeded, c.Label, c.Epsilon, c.Delta, priorEps, priorDel, eps, del, a.epsCap, a.delCap)
 	}
+	a.recordLocked(c)
 	return nil
 }
 
 func validateCharge(c Charge) error {
-	if c.Epsilon <= 0 {
+	if !(c.Epsilon > 0) {
 		return fmt.Errorf("accountant: charge epsilon must be positive, got %v", c.Epsilon)
 	}
-	if c.Delta < 0 || c.Delta >= 1 {
+	if !(c.Delta >= 0 && c.Delta < 1) {
 		return fmt.Errorf("accountant: charge delta must be in [0,1), got %v", c.Delta)
 	}
-	if c.Sigma < 0 || c.Sensitivity < 0 {
-		return fmt.Errorf("accountant: charge sigma/sensitivity must be non-negative, got (%v, %v)", c.Sigma, c.Sensitivity)
+	if !(c.Sigma >= 0 && c.Sensitivity >= 0) || math.IsInf(c.Sigma, 1) || math.IsInf(c.Sensitivity, 1) {
+		return fmt.Errorf("accountant: charge sigma/sensitivity must be finite and non-negative, got (%v, %v)", c.Sigma, c.Sensitivity)
 	}
 	return nil
 }
@@ -171,6 +210,7 @@ func (a *Accountant) refund(c Charge) {
 	for i := len(a.charges) - 1; i >= 0; i-- {
 		if a.charges[i] == c {
 			a.charges = append(a.charges[:i], a.charges[i+1:]...)
+			a.resumLocked()
 			return
 		}
 	}
@@ -188,7 +228,9 @@ func (a *Accountant) restore(charges []Charge) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.charges = append(a.charges, charges...)
+	for _, c := range charges {
+		a.recordLocked(c)
+	}
 	return nil
 }
 

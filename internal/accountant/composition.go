@@ -62,6 +62,81 @@ func (Basic) Compose(charges []Charge) (float64, float64) {
 	return globalEps + maxEps, globalDel + maxDel
 }
 
+// cost implements running: a charge costs its (ε, δ).
+func (Basic) cost(c Charge) [2]float64 { return [2]float64{c.Epsilon, c.Delta} }
+
+// convert implements running: the composed (ε, δ) is the total itself.
+func (Basic) convert(total [2]float64) (float64, float64) { return total[0], total[1] }
+
+// running is implemented by the compositions whose Compose folds one cost
+// pair per charge as a whole-population sum plus the maximum over
+// per-partition sums, then converts that total to (ε, δ). A ledger over
+// such a composition keeps the sums as charges arrive (tally) instead of
+// re-composing its history on every admission and every Spent.
+type running interface {
+	cost(c Charge) [2]float64
+	convert(total [2]float64) (epsilon, delta float64)
+}
+
+// tally holds Compose's intermediate sums for one ledger. Each sum is
+// accumulated in append order, the order Compose adds in, and the maximum
+// does not depend on order, so converting a tally is bit for bit Compose
+// over the same history. Costs are never negative, so a partition's sum
+// never falls, and the running maximum is the maximum of the current sums.
+type tally struct {
+	global [2]float64
+	parts  map[string]*[2]float64
+	max    [2]float64
+}
+
+// total is the composed cost pair: the global sums plus the maxima.
+func (t *tally) total() [2]float64 {
+	return [2]float64{t.global[0] + t.max[0], t.global[1] + t.max[1]}
+}
+
+// with is total as it would be after adding cost to partition part,
+// without recording it.
+func (t *tally) with(part string, cost [2]float64) [2]float64 {
+	g, m := t.global, t.max
+	if part == "" {
+		g[0] += cost[0]
+		g[1] += cost[1]
+	} else {
+		var sum [2]float64
+		if p := t.parts[part]; p != nil {
+			sum = *p
+		}
+		for k := range sum {
+			if sum[k] += cost[k]; sum[k] > m[k] {
+				m[k] = sum[k]
+			}
+		}
+	}
+	return [2]float64{g[0] + m[0], g[1] + m[1]}
+}
+
+// add records cost against partition part.
+func (t *tally) add(part string, cost [2]float64) {
+	if part == "" {
+		t.global[0] += cost[0]
+		t.global[1] += cost[1]
+		return
+	}
+	p := t.parts[part]
+	if p == nil {
+		if t.parts == nil {
+			t.parts = map[string]*[2]float64{}
+		}
+		p = new([2]float64)
+		t.parts[part] = p
+	}
+	for k := range p {
+		if p[k] += cost[k]; p[k] > t.max[k] {
+			t.max[k] = p[k]
+		}
+	}
+}
+
 // ZCDP composes in zero-concentrated differential privacy (Bun–Steinke):
 // every charge converts to a ρ cost, ρ adds up under sequential composition
 // (with the same parallel-composition max across partitions as Basic), and
@@ -119,6 +194,18 @@ func (z ZCDP) Compose(charges []Charge) (float64, float64) {
 		}
 	}
 	rho := globalRho + maxRho
+	if rho == 0 {
+		return 0, 0
+	}
+	return rho + 2*math.Sqrt(rho*math.Log(1/z.TargetDelta)), z.TargetDelta
+}
+
+// cost implements running: a charge costs its ρ.
+func (ZCDP) cost(c Charge) [2]float64 { return [2]float64{Rho(c), 0} }
+
+// convert implements running, exactly as Compose converts the composed ρ.
+func (z ZCDP) convert(total [2]float64) (float64, float64) {
+	rho := total[0]
 	if rho == 0 {
 		return 0, 0
 	}

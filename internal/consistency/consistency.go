@@ -18,12 +18,21 @@
 // marginal. The derivation survives per-marginal weights (noise variances
 // differ across marginals but are constant within one), which keeps the
 // Gram matrix diagonal; L2Weighted implements that generalized version.
+//
+// Every projection works in the dense layout of the workload's Fourier
+// index (marginal.Workload.Fourier): coefficients live in a slice aligned
+// with the support F, and marginal i reads and writes them through its
+// support columns, in packed-cell order. That order is the subset walk the
+// original map-based sweep used, so every sum is formed in the same order
+// and the answers are bit-identical to it. Only Result.Coefficients is a
+// map, built for callers that read it.
 package consistency
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 
 	"repro/internal/bits"
@@ -58,6 +67,19 @@ func L2Weighted(w *marginal.Workload, noisy []float64, weight []float64) (*Resul
 // L2WeightedWorkers is L2Weighted with an explicit worker bound — the
 // parallel form of the projection, which used to be the release pipeline's
 // last serial stage. workers 0 uses all CPUs; 1 forces serial execution.
+// The result is bit-identical at every worker count (see L2Answers, which
+// it runs before building the coefficient map).
+func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, workers int) (*Result, error) {
+	p, err := l2Project(w, noisy, weight, workers)
+	if err != nil {
+		return nil, err
+	}
+	return p.result(w), nil
+}
+
+// L2Answers is L2WeightedWorkers without the coefficient map: the
+// consistent answers alone, which is all a release publishes. Callers that
+// read coefficients use L2WeightedWorkers.
 //
 // The three phases fan out over the pool, each with a deterministic merge
 // so the result is bit-identical at every worker count:
@@ -65,12 +87,52 @@ func L2Weighted(w *marginal.Workload, noisy []float64, weight []float64) (*Resul
 //  1. per-marginal small WHTs (the T_β transforms) — independent blocks,
 //     one pool task per marginal, each transform itself bit-identical at
 //     any internal worker count (transform.WHTWorkers);
-//  2. the per-coefficient weighted average — the support is sharded across
-//     the pool and every coefficient accumulates its contributions in
-//     ascending marginal order, the exact order of the serial sweep;
+//  2. the per-coefficient weighted average — a dense sweep over the
+//     workload's Fourier index (marginal.Workload.Fourier). Coefficient β
+//     receives its contributions in ascending marginal order, the order of
+//     a marginal-by-marginal subset walk, whether one worker sweeps every
+//     marginal or each worker owns a range of support columns (each
+//     marginal's columns are sorted, so a worker finds its slice by binary
+//     search);
 //  3. reconstruction R·f̂ — independent per-marginal inverse transforms
-//     writing disjoint slices of the answer vector.
-func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, workers int) (*Result, error) {
+//     writing disjoint slices of the answer vector, each reading its
+//     coefficients from the dense vector through its support columns.
+func L2Answers(w *marginal.Workload, noisy []float64, weight []float64, workers int) ([]float64, error) {
+	p, err := l2Project(w, noisy, weight, workers)
+	if err != nil {
+		return nil, err
+	}
+	return p.answers, nil
+}
+
+// projection is a consistency result in the index's dense layout:
+// coef[c] is f̂ of support column c, defined where observed[c].
+type projection struct {
+	answers  []float64
+	coef     []float64
+	observed []bool
+}
+
+// result builds the public Result, with its coefficient map.
+func (p *projection) result(w *marginal.Workload) *Result {
+	support := w.Fourier().Support
+	n := 0
+	for _, ok := range p.observed {
+		if ok {
+			n++
+		}
+	}
+	coeff := make(map[bits.Mask]float64, n)
+	for c, beta := range support {
+		if p.observed[c] {
+			coeff[beta] = p.coef[c]
+		}
+	}
+	return &Result{Coefficients: coeff, Answers: p.answers}
+}
+
+// l2Project runs the weighted L2 projection (see L2Answers).
+func l2Project(w *marginal.Workload, noisy []float64, weight []float64, workers int) (*projection, error) {
 	if len(noisy) != w.TotalCells() {
 		return nil, fmt.Errorf("consistency: %d noisy values for %d cells", len(noisy), w.TotalCells())
 	}
@@ -130,56 +192,34 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 		}
 	})
 
-	// Phase 2: the per-coefficient weighted average. Either merge order
-	// below gives coefficient β its contributions in ascending marginal
-	// order — the exact floating-point sequence of the original serial
-	// sweep — so the choice is purely a cost call, never a correctness one:
-	//
-	//   - the marginal-major sweep visits each marginal's 2^k subsets once
-	//     (Σ 2^{k_i} work, no dominance tests) but is inherently serial;
-	//   - the coefficient-major sweep shards the support across the pool,
-	//     paying a dominance test per (coefficient, marginal) pair
-	//     (|F|·ℓ / workers per worker).
-	support := w.FourierSupport()
-	colOf := make(map[bits.Mask]int, len(support))
-	for c, b := range support {
-		colOf[b] = c
-	}
-	num := make([]float64, len(support))
-	den := make([]float64, len(support))
-	subsetCost, colCost := 0.0, 0.0
-	for i, m := range w.Marginals {
-		if blocks[i].block != nil {
-			subsetCost += float64(m.Cells())
-			colCost += float64(len(support)) / float64(workers)
-		}
-	}
-	if workers <= 1 || subsetCost <= colCost {
-		for i, m := range w.Marginals {
+	// Phase 2: the per-coefficient weighted average over the dense index.
+	// Packed cell p of marginal i holds the coefficient of column
+	// fi.Cols[i][p], so the fold reads block[p] directly. Whichever way the
+	// sweep is split, every column sees its marginals in ascending order.
+	fi := w.Fourier()
+	num := make([]float64, len(fi.Support))
+	den := make([]float64, len(fi.Support))
+	fold := func(lo, hi int32) {
+		for i, cols := range fi.Cols {
 			tb := blocks[i]
 			if tb.block == nil {
 				continue
 			}
-			m.Alpha.VisitSubsets(func(beta bits.Mask) {
-				c := colOf[beta]
-				num[c] += tb.numScale * tb.block[bits.CellIndex(m.Alpha, beta)]
-				den[c] += tb.denTerm
-			})
-		}
-	} else {
-		parallelRanges(len(support), workers, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				beta := support[c]
-				for i, m := range w.Marginals {
-					tb := blocks[i]
-					if tb.block == nil || beta&^m.Alpha != 0 {
-						continue // zero weight, or β ⋠ α_i
-					}
-					num[c] += tb.numScale * tb.block[bits.CellIndex(m.Alpha, beta)]
-					den[c] += tb.denTerm
-				}
+			p := 0
+			if lo > 0 {
+				p = sort.Search(len(cols), func(j int) bool { return cols[j] >= lo })
 			}
-		})
+			for ; p < len(cols) && cols[p] < hi; p++ {
+				c := cols[p]
+				num[c] += tb.numScale * tb.block[p]
+				den[c] += tb.denTerm
+			}
+		}
+	}
+	if workers <= 1 || len(noisy) < parallelFoldMin {
+		fold(0, int32(len(fi.Support)))
+	} else {
+		parallelRanges(len(fi.Support), workers, func(lo, hi int) { fold(int32(lo), int32(hi)) })
 	}
 	// The transform scratch is dead once the weighted average is folded;
 	// recycle it for the next release.
@@ -189,42 +229,47 @@ func L2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []float64, 
 		}
 	}
 
-	coeff := make(map[bits.Mask]float64, len(support))
-	for c, beta := range support {
+	observed := make([]bool, len(fi.Support))
+	for c := range num {
 		if den[c] != 0 {
-			coeff[beta] = num[c] / den[c]
+			num[c] /= den[c]
+			observed[c] = true
 		}
 	}
-
-	answers, err := evalAnswers(w, coeff, workers)
+	answers, err := evalDense(w, num, observed, workers)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Coefficients: coeff, Answers: answers}, nil
+	return &projection{answers: answers, coef: num, observed: observed}, nil
 }
 
-// evalAnswers reconstructs every marginal from the coefficients, fanning
-// the independent per-marginal inverse transforms over the pool (each
-// writes its own disjoint slice of the concatenated answers).
-func evalAnswers(w *marginal.Workload, coeff map[bits.Mask]float64, workers int) ([]float64, error) {
+// parallelFoldMin is the released-cell count below which the phase-2 fold
+// runs serially: under it the fold is a few microseconds, less than
+// starting the pool.
+const parallelFoldMin = 1 << 15
+
+// evalDense reconstructs every marginal from the dense coefficients
+// (aligned with the workload's Fourier support), fanning the independent
+// per-marginal inverse transforms over the pool; each writes its own
+// disjoint slice of the concatenated answers. observed, when non-nil,
+// marks the columns that hold a coefficient: a marginal reading an
+// unobserved one is an error (the first such marginal's is returned).
+func evalDense(w *marginal.Workload, coef []float64, observed []bool, workers int) ([]float64, error) {
+	fi := w.Fourier()
 	answers := make([]float64, w.TotalCells())
 	offsets := w.Offsets()
 	errs := make([]error, len(w.Marginals))
 	parallelFor(len(w.Marginals), workers, func(i int) {
-		m := w.Marginals[i]
-		// Guard against a workload marginal that shares no coefficients
-		// (cannot happen when coeff came from the same workload).
-		missing := false
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			if _, ok := coeff[beta]; !ok {
-				missing = true
+		cols := fi.Cols[i]
+		out := answers[offsets[i] : offsets[i]+len(cols)]
+		for p, c := range cols {
+			if observed != nil && !observed[c] {
+				errs[i] = fmt.Errorf("consistency: coefficients missing for marginal %v", w.Marginals[i].Alpha)
+				return
 			}
-		})
-		if missing {
-			errs[i] = fmt.Errorf("consistency: coefficients missing for marginal %v", m.Alpha)
-			return
+			out[p] = coef[c]
 		}
-		m.EvalFromFourierInto(w.D, coeff, answers[offsets[i]:offsets[i]+m.Cells()])
+		transform.MarginalFromPacked(w.D, out)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -352,13 +397,13 @@ func lpConsistency(w *marginal.Workload, noisy []float64, inf bool) (*Result, er
 	if err != nil {
 		return nil, fmt.Errorf("consistency: LP failed: %w", err)
 	}
+	answers, err := evalDense(w, fhat, nil, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
 	coeff := make(map[bits.Mask]float64, len(support))
 	for c, b := range support {
 		coeff[b] = fhat[c]
-	}
-	answers, err := evalAnswers(w, coeff, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, err
 	}
 	return &Result{Coefficients: coeff, Answers: answers}, nil
 }

@@ -49,7 +49,20 @@
 //   - Consist. The weighted-L2 projection — historically the last serial
 //     stage — fans its per-marginal small WHTs, the sharded
 //     per-coefficient weighted average and the per-marginal reconstruction
-//     over the worker pool (consistency.L2WeightedWorkers).
+//     over the worker pool (consistency.L2Answers). It works on a dense
+//     coefficient slice through the workload's Fourier index and builds no
+//     coefficient map: a Release carries answers only.
+//
+// # Worker dispatch
+//
+// Perturb and Recover build their work lists up front (the noise blocks,
+// the marginals) and hand them out by index: each pool goroutine claims
+// the next index with one atomic add until the list is exhausted or the
+// context is done. No item passes through a channel, so a Fourier release
+// — one noise group, and hence one tiny block, per coefficient — pays no
+// scheduler hand-off per block. Which goroutine takes an item never
+// matters: a block's draws depend only on (seed, group, block), and a
+// marginal's recovery writes only its own slot.
 //
 // # Determinism contract
 //

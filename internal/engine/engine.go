@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bits"
@@ -98,9 +99,6 @@ type Release struct {
 	// TotalVariance is the analytic Σ_i Var(y_i) over all released cells
 	// under the initial recovery (the paper's optimisation objective).
 	TotalVariance float64
-	// Coefficients holds the consistent Fourier coefficients when a
-	// consistency pass ran (nil otherwise).
-	Coefficients map[bits.Mask]float64
 	// Elapsed is the wall-clock cost of the full run.
 	Elapsed time.Duration
 	// StrategyName is the short experiment-table name of the strategy.
@@ -212,7 +210,10 @@ type RecoverStage interface {
 }
 
 // ConsistStage applies the Step-3 consistency projection (possibly a
-// no-op), fanning the projection's independent pieces over workers.
+// no-op), fanning the projection's independent pieces over workers. A
+// stage may also return the projection's Fourier coefficients; the engine
+// publishes only the answers and drops them, and the default stage returns
+// nil (callers that need coefficients run consistency.L2WeightedWorkers).
 type ConsistStage interface {
 	Consist(ctx context.Context, w *marginal.Workload, answers, cellVar []float64, cfg Config, workers int) ([]float64, map[bits.Mask]float64, error)
 }
@@ -354,12 +355,12 @@ func (e *Engine) RunVector(ctx context.Context, w *marginal.Workload, x *vector.
 		StrategyName:   plan.Strategy,
 	}
 	sp = tr.Root().StartStage("consist")
-	consistent, coeffs, err := e.stages.Consist.Consist(ctx, w, answers, cellVar, cfg, workers)
+	consistent, _, err := e.stages.Consist.Consist(ctx, w, answers, cellVar, cfg, workers)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	rel.Answers, rel.Coefficients = consistent, coeffs
+	rel.Answers = consistent
 	rel.Elapsed = time.Since(start)
 	return rel, nil
 }
@@ -690,7 +691,6 @@ func PerturbVectorContext(ctx context.Context, z *vector.Blocked, groups []Noise
 			}
 		})
 	}
-	done := ctx.Done()
 	if workers <= 1 || len(blocks) <= 1 {
 		src := noise.NewSubstream(seed, 0)
 		for _, bl := range blocks {
@@ -701,35 +701,53 @@ func PerturbVectorContext(ctx context.Context, z *vector.Blocked, groups []Noise
 		}
 		return nil
 	}
-	if workers > len(blocks) {
-		workers = len(blocks)
+	forEachIndex(ctx, len(blocks), workers, func(q *indexQueue) {
+		src := noise.NewSubstream(seed, 0)
+		for i, ok := q.claim(); ok; i, ok = q.claim() {
+			perturbBlock(src, blocks[i])
+		}
+	})
+	return ctx.Err()
+}
+
+// indexQueue hands out the indices [0, n) to a pool, one atomic add per
+// index: no channel send and no scheduler hand-off per item.
+type indexQueue struct {
+	next atomic.Int64
+	n    int64
+	done <-chan struct{}
+	wg   sync.WaitGroup // the goroutines forEachIndex started
+}
+
+// claim returns the next unclaimed index, or false once all are claimed or
+// the context is done.
+func (q *indexQueue) claim() (int, bool) {
+	select {
+	case <-q.done:
+		return 0, false
+	default:
 	}
-	var wg sync.WaitGroup
-	next := make(chan block)
+	i := q.next.Add(1) - 1
+	return int(i), i < q.n
+}
+
+// forEachIndex runs work on min(workers, n) goroutines that share one
+// indexQueue over [0, n), and returns when every goroutine has stopped.
+// Which goroutine claims an index is left to chance, so the result must
+// not depend on it; once ctx is done no further index is claimed.
+func forEachIndex(ctx context.Context, n, workers int, work func(q *indexQueue)) {
+	if workers > n {
+		workers = n
+	}
+	q := &indexQueue{n: int64(n), done: ctx.Done()}
 	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
+		q.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			src := noise.NewSubstream(seed, 0)
-			for bl := range next {
-				if ctx.Err() != nil {
-					continue // drain the channel without doing work
-				}
-				perturbBlock(src, bl)
-			}
+			defer q.wg.Done()
+			work(q)
 		}()
 	}
-feed:
-	for _, bl := range blocks {
-		select {
-		case next <- bl:
-		case <-done:
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	return ctx.Err()
+	q.wg.Wait()
 }
 
 // Recoverer is the default RecoverStage. When the plan supports per-marginal
@@ -756,41 +774,17 @@ func (Recoverer) Recover(ctx context.Context, w *marginal.Workload, plan *strate
 		return answers, cellVar, err
 	}
 	nm := len(w.Marginals)
-	if workers > nm {
-		workers = nm
-	}
 	blocks := make([][]float64, nm)
 	cellVar := make([]float64, nm)
 	errs := make([]error, nm)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				msp := sp.StartDetail("recover.marginal")
-				msp.AnnotateInt("marginal", int64(i))
-				blocks[i], cellVar[i], errs[i] = plan.RecoverMarginal(i, z, groupVar)
-				msp.End()
-			}
-		}()
-	}
-feed:
-	for i := 0; i < nm; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break feed
+	forEachIndex(ctx, nm, workers, func(q *indexQueue) {
+		for i, ok := q.claim(); ok; i, ok = q.claim() {
+			msp := sp.StartDetail("recover.marginal")
+			msp.AnnotateInt("marginal", int64(i))
+			blocks[i], cellVar[i], errs[i] = plan.RecoverMarginal(i, z, groupVar)
+			msp.End()
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -808,28 +802,29 @@ feed:
 
 // Consister is the default ConsistStage: the Section 3.3/4.3 projections.
 // The L2 projections — historically the pipeline's last serial stage — fan
-// their per-marginal transforms, the sharded per-coefficient weighted
-// average and the reconstruction over the worker pool
-// (consistency.L2WeightedWorkers), bit-identical at every worker count.
-// The L1/L∞ LPs remain monolithic solves.
+// their per-marginal transforms, the per-coefficient weighted average and
+// the reconstruction over the worker pool (consistency.L2Answers),
+// bit-identical at every worker count, and build no coefficient map. The
+// L1/L∞ LPs remain monolithic solves.
 type Consister struct{}
 
-// Consist implements ConsistStage. Cancellation is checked on entry; the
-// projection itself runs to completion (its pieces are too fine-grained to
-// poll a context profitably).
+// Consist implements ConsistStage; it returns no coefficients.
+// Cancellation is checked on entry; the projection itself runs to
+// completion (its pieces are too fine-grained to poll a context
+// profitably).
 func (Consister) Consist(ctx context.Context, w *marginal.Workload, answers, cellVar []float64, cfg Config, workers int) ([]float64, map[bits.Mask]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	var (
+		out []float64
+		err error
+	)
 	switch cfg.Consistency {
 	case NoConsistency:
 		return answers, nil, nil
 	case L2Consistency:
-		res, err := consistency.L2WeightedWorkers(w, answers, nil, workers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: consistency: %w", err)
-		}
-		return res.Answers, res.Coefficients, nil
+		out, err = consistency.L2Answers(w, answers, nil, workers)
 	case WeightedL2Consistency:
 		weights := make([]float64, len(cellVar))
 		for i, v := range cellVar {
@@ -839,24 +834,21 @@ func (Consister) Consist(ctx context.Context, w *marginal.Workload, answers, cel
 				weights[i] = 1 / v
 			}
 		}
-		res, err := consistency.L2WeightedWorkers(w, answers, weights, workers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: consistency: %w", err)
+		out, err = consistency.L2Answers(w, answers, weights, workers)
+	case L1Consistency, LInfConsistency:
+		lp := consistency.L1
+		if cfg.Consistency == LInfConsistency {
+			lp = consistency.LInf
 		}
-		return res.Answers, res.Coefficients, nil
-	case L1Consistency:
-		res, err := consistency.L1(w, answers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: consistency: %w", err)
+		var res *consistency.Result
+		if res, err = lp(w, answers); err == nil {
+			out = res.Answers
 		}
-		return res.Answers, res.Coefficients, nil
-	case LInfConsistency:
-		res, err := consistency.LInf(w, answers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: consistency: %w", err)
-		}
-		return res.Answers, res.Coefficients, nil
 	default:
 		return nil, nil, fmt.Errorf("engine: unknown consistency mode %d", cfg.Consistency)
 	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("engine: consistency: %w", err)
+	}
+	return out, nil, nil
 }

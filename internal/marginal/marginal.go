@@ -12,10 +12,10 @@ package marginal
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/bits"
 	"repro/internal/dataset"
-	"repro/internal/transform"
 )
 
 // Marginal identifies one marginal by its attribute mask.
@@ -41,19 +41,6 @@ func (m Marginal) Eval(x []float64) []float64 {
 	return out
 }
 
-// EvalFromFourier computes Cα x from Fourier coefficients θ_β = ⟨f^β, x⟩
-// via Theorem 4.1. All β ⪯ α must be present in coeff.
-func (m Marginal) EvalFromFourier(d int, coeff map[bits.Mask]float64) []float64 {
-	return transform.MarginalFromCoefficients(d, m.Alpha, coeff)
-}
-
-// EvalFromFourierInto is EvalFromFourier writing into a caller-provided
-// slice of exactly Cells() entries — the alloc-free path for per-marginal
-// answer sweeps over preallocated output buffers.
-func (m Marginal) EvalFromFourierInto(d int, coeff map[bits.Mask]float64, out []float64) {
-	transform.MarginalFromCoefficientsInto(d, m.Alpha, coeff, out)
-}
-
 // Rows materialises the explicit 2^‖α‖ × 2^d query matrix of the marginal.
 // Only for small d (tests and explicit-matrix strategies).
 func (m Marginal) Rows(d int) [][]float64 {
@@ -70,9 +57,16 @@ func (m Marginal) Rows(d int) [][]float64 {
 }
 
 // Workload is an ordered set of marginals plus the dimension they live in.
+//
+// A workload is immutable once NewWorkload returns it: only NewWorkload
+// writes D and Marginals. That is what lets it derive its Fourier index
+// (Fourier) once, on first use, and share it with every plan, Releaser and
+// plan-cache entry built over it.
 type Workload struct {
 	D         int
 	Marginals []Marginal
+
+	fourier atomic.Pointer[FourierIndex]
 }
 
 // NewWorkload builds a workload from masks, validating against d.
@@ -119,9 +113,56 @@ func (w *Workload) TotalCells() int {
 }
 
 // FourierSupport returns F = ∪_i {β ⪯ α_i}, the Fourier coefficients the
-// workload depends on, in increasing mask order.
+// workload depends on, in increasing mask order. The slice is the
+// workload's shared index (Fourier().Support): callers must not modify it.
 func (w *Workload) FourierSupport() []bits.Mask {
-	return bits.UnionClosure(w.Masks())
+	return w.Fourier().Support
+}
+
+// FourierIndex lays out the Theorem 4.1 reconstruction of a workload: the
+// support F and, for every marginal, where each coefficient it reads sits
+// in F. It depends only on the workload, so Workload.Fourier builds it once.
+type FourierIndex struct {
+	// Support is F = ∪_i {β ⪯ α_i} in increasing mask order.
+	Support []bits.Mask
+	// Cols[i][p] is the support column of β = bits.CellMask(α_i, p), the
+	// coefficient at packed cell p of marginal i. Packing preserves mask
+	// order, so every Cols[i] is strictly increasing, and walking it visits
+	// the β ⪯ α_i in the order Mask.VisitSubsets does: a sweep over Cols
+	// performs each floating-point summation in the order of a subset walk.
+	Cols [][]int32
+}
+
+// Fourier returns the workload's Fourier index, building it on first use.
+// Concurrent first calls may each build one; all but the first published
+// are dropped, and every caller sees the same index afterwards.
+func (w *Workload) Fourier() *FourierIndex {
+	if fi := w.fourier.Load(); fi != nil {
+		return fi
+	}
+	fi := newFourierIndex(w)
+	if w.fourier.CompareAndSwap(nil, fi) {
+		return fi
+	}
+	return w.fourier.Load()
+}
+
+func newFourierIndex(w *Workload) *FourierIndex {
+	support := bits.UnionClosure(w.Masks())
+	colOf := make(map[bits.Mask]int32, len(support))
+	for c, b := range support {
+		colOf[b] = int32(c)
+	}
+	flat := make([]int32, 0, w.TotalCells())
+	cols := make([][]int32, len(w.Marginals))
+	for i, m := range w.Marginals {
+		lo := len(flat)
+		m.Alpha.VisitSubsets(func(beta bits.Mask) {
+			flat = append(flat, colOf[beta])
+		})
+		cols[i] = flat[lo:len(flat):len(flat)]
+	}
+	return &FourierIndex{Support: support, Cols: cols}
 }
 
 // Eval answers every marginal exactly, concatenated in workload order.

@@ -2,17 +2,25 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"strconv"
+	"sync"
 )
 
-// encodeSyntheticBody returns the JSON encoding of b: byte for byte what
-// json.Marshal(b) produces (pinned by TestSyntheticEncoderMatchesJSON),
-// since the result cache replays these bytes. A synthetic sample is
-// thousands of small-integer rows, which encoding/json walks by
-// reflection; here each value is one append, and digits 0–9 — almost every
-// categorical code — one byte.
+// Reflection-free renderers for the release-shaped response bodies. Each
+// returns, byte for byte, what json.Marshal produces for the same wire
+// struct (pinned by TestSyntheticEncoderMatchesJSON and
+// TestTableEncoderMatchesJSON), because the result cache replays these
+// bytes and a hit must be indistinguishable from the miss that made it.
+// The bodies are mostly numbers: encoding/json reaches each one by
+// reflection, while here each value is one append. Strings keep
+// encoding/json's own escaping (HTML-safe <, >, & and U+2028/9), so they
+// still go through json.Marshal.
+
+// encodeSyntheticBody renders a /v1/synthetic body. A synthetic sample is
+// thousands of small-integer rows; digits 0–9 — almost every categorical
+// code — take one byte each.
 func encodeSyntheticBody(b syntheticBody) ([]byte, error) {
-	// The strategy keeps encoding/json's escaping (HTML-safe < etc.).
 	strategy, err := json.Marshal(b.Strategy)
 	if err != nil {
 		return nil, err
@@ -40,6 +48,151 @@ func encodeSyntheticBody(b syntheticBody) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	return append(dst, '}'), nil
+}
+
+// encodeReleaseBody renders a /v1/release body.
+func encodeReleaseBody(b releaseBody) ([]byte, error) {
+	strategy, err := json.Marshal(b.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	return render(func(dst []byte) ([]byte, error) {
+		dst = append(dst, `{"strategy":`...)
+		dst = append(dst, strategy...)
+		dst = append(dst, `,"total_variance":`...)
+		if dst, err = appendFloatJSON(dst, b.TotalVariance); err != nil {
+			return nil, err
+		}
+		dst = append(dst, `,"tables":`...)
+		if dst, err = appendTablesJSON(dst, b.Tables); err != nil {
+			return nil, err
+		}
+		return append(dst, '}'), nil
+	})
+}
+
+// encodeCubeBody renders a /v1/cube body.
+func encodeCubeBody(b cubeBody) ([]byte, error) {
+	return render(func(dst []byte) ([]byte, error) {
+		dst = append(dst, `{"max_order":`...)
+		dst = strconv.AppendInt(dst, int64(b.MaxOrder), 10)
+		dst = append(dst, `,"total_variance":`...)
+		var err error
+		if dst, err = appendFloatJSON(dst, b.TotalVariance); err != nil {
+			return nil, err
+		}
+		dst = append(dst, `,"cuboids":`...)
+		if dst, err = appendTablesJSON(dst, b.Cuboids); err != nil {
+			return nil, err
+		}
+		return append(dst, '}'), nil
+	})
+}
+
+// scratchPool holds the buffers render builds bodies in.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// render returns the body fill appends to an empty buffer, copied out at
+// its exact length. The result cache keeps a body for the life of its
+// entry, and the length of rendered floats is not known in advance, so the
+// body is built in pooled scratch — which grows once and is reused —
+// rather than in a buffer sized by a worst-case bound.
+func render(fill func(dst []byte) ([]byte, error)) ([]byte, error) {
+	bp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(bp)
+	dst, err := fill((*bp)[:0])
+	if err != nil {
+		return nil, err
+	}
+	*bp = dst
+	out := make([]byte, len(dst))
+	copy(out, dst)
+	return out, nil
+}
+
+// appendBudgetJSON appends the JSON object of b.
+func appendBudgetJSON(dst []byte, b budgetJSON) ([]byte, error) {
+	var err error
+	for _, f := range []struct {
+		key string
+		v   float64
+	}{
+		{`{"epsilon_spent":`, b.EpsilonSpent},
+		{`,"epsilon_cap":`, b.EpsilonCap},
+		{`,"delta_spent":`, b.DeltaSpent},
+		{`,"delta_cap":`, b.DeltaCap},
+	} {
+		dst = append(dst, f.key...)
+		if dst, err = appendFloatJSON(dst, f.v); err != nil {
+			return nil, err
+		}
+	}
+	dst = append(dst, `,"releases":`...)
+	dst = strconv.AppendInt(dst, int64(b.Releases), 10)
+	return append(dst, '}'), nil
+}
+
+// budgetLen bounds a rendered budgetJSON: its keys, four floats of at
+// most 25 characters each and an int.
+const budgetLen = len(`{"epsilon_spent":,"epsilon_cap":,"delta_spent":,"delta_cap":,"releases":}`) + 4*25 + 20
+
+// appendTablesJSON appends the JSON array of tables (null when nil).
+func appendTablesJSON(dst []byte, tables []marginalJSON) ([]byte, error) {
+	if tables == nil {
+		return append(dst, "null"...), nil
+	}
+	var err error
+	dst = append(dst, '[')
+	for i, t := range tables {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"attrs":`...)
+		dst = appendIntsJSON(dst, t.Attrs)
+		dst = append(dst, `,"cells":`...)
+		if t.Cells == nil {
+			dst = append(dst, "null"...)
+		} else {
+			dst = append(dst, '[')
+			for j, v := range t.Cells {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				if dst, err = appendFloatJSON(dst, v); err != nil {
+					return nil, err
+				}
+			}
+			dst = append(dst, ']')
+		}
+		dst = append(dst, `,"variance":`...)
+		if dst, err = appendFloatJSON(dst, t.Variance); err != nil {
+			return nil, err
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, ']'), nil
+}
+
+// appendFloatJSON appends f as encoding/json renders a float64: the
+// shortest 'f' form, or 'e' form when 0 < |f| < 1e-6 or |f| ≥ 1e21, with
+// a two-digit negative exponent shortened (e-07 → e-7). NaN and ±Inf
+// have no JSON form and are refused, as json.Marshal refuses them.
+func appendFloatJSON(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }
 
 // appendIntsJSON appends the JSON array of row (null when row is nil).

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro"
@@ -38,6 +40,101 @@ func TestSyntheticEncoderMatchesJSON(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
 		}
+	}
+}
+
+// goldenFloats are the float64 values whose JSON form sits on an
+// encoding/json formatting boundary: signed zero, the 'f'/'e' switches at
+// 1e-6 and 1e21 on both sides, the two-digit negative exponent cleanup,
+// and the smallest subnormal and normal magnitudes.
+var goldenFloats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.1, 1.5, -2.25, 123456.789, 3e20,
+	1e21, -1e21, 9.999999999999999e20, 1e-6, -1e-6, 9.99e-7, 1e-7, 1.5e-9,
+	5e-324, -5e-324, 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64,
+	1e100, 1e-100, 0.30000000000000004,
+}
+
+// TestTableEncoderMatchesJSON: the release, cube and budget renderers are
+// byte-identical to encoding/json on their wire structs, including the
+// float formatting boundaries, HTML characters in the strategy name and
+// nil versus empty attrs and cells; NaN and ±Inf are refused like
+// json.Marshal refuses them.
+func TestTableEncoderMatchesJSON(t *testing.T) {
+	tables := map[string][]marginalJSON{
+		"nil tables":   nil,
+		"empty tables": {},
+		"golden cells": {{Attrs: []int{0, 2}, Cells: goldenFloats, Variance: 2.5}},
+		"nil attrs":    {{Attrs: nil, Cells: []float64{1, 2}, Variance: 1e-7}},
+		"empty attrs":  {{Attrs: []int{}, Cells: []float64{7}, Variance: 0}},
+		"nil cells":    {{Attrs: []int{1}, Cells: nil, Variance: 3}},
+		"empty cells":  {{Attrs: []int{1}, Cells: []float64{}, Variance: -0.5}},
+		"many tables": {
+			{Attrs: []int{0}, Cells: []float64{-0.0000012, 1e22}, Variance: 1e21},
+			{Attrs: []int{12, 345}, Cells: []float64{5e-324}, Variance: 9.999999999999999e20},
+		},
+	}
+	strategies := []string{"F", "fourier", `<&"\` + "\u2028é\x01>", ""}
+	for name, tabs := range tables {
+		for _, strategy := range strategies {
+			for _, tv := range goldenFloats {
+				rb := releaseBody{Strategy: strategy, TotalVariance: tv, Tables: tabs}
+				matchJSON(t, name+" release", rb, func() ([]byte, error) { return encodeReleaseBody(rb) })
+			}
+		}
+		for _, order := range []int{0, 2, -1} {
+			cb := cubeBody{MaxOrder: order, TotalVariance: 12.5, Cuboids: tabs}
+			matchJSON(t, name+" cube", cb, func() ([]byte, error) { return encodeCubeBody(cb) })
+		}
+	}
+	for _, f := range goldenFloats {
+		bj := budgetJSON{EpsilonSpent: f, EpsilonCap: math.MaxFloat64, DeltaSpent: f / 3, DeltaCap: 1e-3, Releases: 12345}
+		matchJSON(t, "budget", bj, func() ([]byte, error) { return appendBudgetJSON(nil, bj) })
+	}
+	// Random bit patterns cover every exponent and mantissa shape.
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		want, _ := json.Marshal(f)
+		got, err := appendFloatJSON(nil, f)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("float %v (%#x): got %s (%v), want %s", f, math.Float64bits(f), got, err, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := json.Marshal(bad); err == nil {
+			t.Fatalf("json.Marshal accepted %v", bad)
+		}
+		if _, err := encodeReleaseBody(releaseBody{Strategy: "F", TotalVariance: bad, Tables: []marginalJSON{}}); err == nil {
+			t.Errorf("release total variance %v accepted", bad)
+		}
+		if _, err := encodeCubeBody(cubeBody{MaxOrder: 1, Cuboids: []marginalJSON{{Attrs: []int{0}, Cells: []float64{1, bad}}}}); err == nil {
+			t.Errorf("cube cell %v accepted", bad)
+		}
+		if _, err := encodeReleaseBody(releaseBody{Tables: []marginalJSON{{Attrs: []int{0}, Cells: []float64{1}, Variance: bad}}}); err == nil {
+			t.Errorf("table variance %v accepted", bad)
+		}
+		if _, err := appendBudgetJSON(nil, budgetJSON{DeltaSpent: bad}); err == nil {
+			t.Errorf("budget %v accepted", bad)
+		}
+	}
+}
+
+// matchJSON fails t unless render returns exactly json.Marshal(v).
+func matchJSON(t *testing.T, name string, v any, render func() ([]byte, error)) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("%s: json.Marshal: %v", name, err)
+	}
+	got, err := render()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s:\n got %s\nwant %s", name, got, want)
 	}
 }
 

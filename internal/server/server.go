@@ -691,9 +691,9 @@ type releaseRequest struct {
 	// Exactly one of Rows (tuples under the schema), Counts (the full
 	// contingency vector, length 2^dim) or DatasetID (a dataset previously
 	// ingested via PUT /v1/datasets/{id}) carries the data.
-	Rows      [][]int   `json:"rows,omitempty"`
-	Counts    []float64 `json:"counts,omitempty"`
-	DatasetID string    `json:"dataset_id,omitempty"`
+	Rows      rowsJSON   `json:"rows,omitempty"`
+	Counts    countsJSON `json:"counts,omitempty"`
+	DatasetID string     `json:"dataset_id,omitempty"`
 
 	Workload workloadJSON `json:"workload"`
 
@@ -895,7 +895,7 @@ var releaseEndpoint = &endpoint{
 	label:       func(*releaseRequest) string { return "release" },
 	render: func(ctx context.Context, _ *repro.Releaser, _ *releaseRequest, res *repro.Result) ([]byte, error) {
 		defer startEncode(ctx).End()
-		return json.Marshal(releaseBody{
+		return encodeReleaseBody(releaseBody{
 			Strategy:      res.Strategy,
 			TotalVariance: res.TotalVariance,
 			Tables:        tablesJSON(res),
@@ -969,7 +969,7 @@ var cubeEndpoint = &endpoint{
 	label: func(req *releaseRequest) string { return fmt.Sprintf("cube-%d-way", req.MaxOrder) },
 	render: func(ctx context.Context, _ *repro.Releaser, req *releaseRequest, res *repro.Result) ([]byte, error) {
 		defer startEncode(ctx).End()
-		return json.Marshal(cubeBody{
+		return encodeCubeBody(cubeBody{
 			MaxOrder:      req.MaxOrder,
 			TotalVariance: res.TotalVariance,
 			Cuboids:       tablesJSON(res),
@@ -1725,22 +1725,23 @@ func (s *Server) chargeTraced(r *http.Request, rel *repro.Releaser, req *release
 // cached payload, so timing (like budget) stays live while the noised
 // bytes stay shared.
 func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []byte) {
-	bb, err := json.Marshal(s.budgetFor(apiKeyFrom(r.Context())))
-	if err != nil {
-		s.fail(w, r, err)
-		return
-	}
-	var tb []byte
+	var (
+		tb  []byte
+		err error
+	)
 	if tr := telemetry.TraceFrom(r.Context()); tr.Detail() {
 		if tb, err = json.Marshal(tr.Tree()); err != nil {
 			s.fail(w, r, err)
 			return
 		}
 	}
-	buf := make([]byte, 0, len(payload)+len(bb)+len(tb)+24)
+	buf := make([]byte, 0, len(payload)+budgetLen+len(tb)+24)
 	buf = append(buf, payload[:len(payload)-1]...)
 	buf = append(buf, `,"budget":`...)
-	buf = append(buf, bb...)
+	if buf, err = appendBudgetJSON(buf, s.budgetFor(apiKeyFrom(r.Context()))); err != nil {
+		s.fail(w, r, err)
+		return
+	}
 	if tb != nil {
 		buf = append(buf, `,"timing":`...)
 		buf = append(buf, tb...)

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bits"
 	"repro/internal/budget"
 	"repro/internal/marginal"
 	"repro/internal/transform"
@@ -276,51 +275,64 @@ func fourierBlockLen(n int) int {
 // coefficient is its own group (the Hadamard rows are dense), with
 // C = 2^{−d/2} and recovery weight w_β = Σ_{i: β⪯α_i} 2^{d−‖α_i‖}
 // (Lemma 4.2's b_i = 2·w_β).
+//
+// Planning and recovery read the workload's Fourier index
+// (marginal.Workload.Fourier), built once per workload: the weights fold
+// over each marginal's support columns, and a marginal recovers by reading
+// its columns of z straight into its output block, which one small WHT
+// then turns into the table — Σ_i 2^{‖α_i‖} work and no lookups by mask.
 type Fourier struct{}
 
 // Name implements Strategy.
 func (Fourier) Name() string { return "F" }
 
+// fourierWeights returns w_β = Σ_{i: β⪯α_i} a_i·2^{d−‖α_i‖} per support
+// column (a = nil means a = 1), accumulated in ascending marginal order.
+func fourierWeights(w *marginal.Workload, a []float64) []float64 {
+	fi := w.Fourier()
+	weights := make([]float64, len(fi.Support))
+	for i, m := range w.Marginals {
+		contrib := float64(int64(1) << uint(w.D-m.Order()))
+		if a != nil {
+			contrib *= a[i]
+		}
+		for _, c := range fi.Cols[i] {
+			weights[c] += contrib
+		}
+	}
+	return weights
+}
+
 // Plan implements Strategy.
 func (Fourier) Plan(w *marginal.Workload) (*Plan, error) {
-	support := w.FourierSupport()
+	fi := w.Fourier()
+	support := fi.Support
 	d := w.D
 	n := 1 << uint(d)
 	cInv := 1 / math.Sqrt(float64(n))
 
-	// Recovery weight per coefficient.
-	weights := make([]float64, len(support))
-	colOf := make(map[bits.Mask]int, len(support))
-	for c, b := range support {
-		colOf[b] = c
-	}
-	for _, m := range w.Marginals {
-		contrib := float64(int64(1) << uint(d-m.Order()))
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			weights[colOf[beta]] += contrib
-		})
-	}
+	weights := fourierWeights(w, nil)
 	specs := make([]budget.Spec, len(support))
 	for i := range support {
 		specs[i] = budget.Spec{Count: 1, RowWeight: weights[i], C: cInv}
 	}
-	// Theorem 4.1 reconstruction reads only the coefficients β ⪯ α_i, so
-	// each marginal builds its own subset map; MarginalFromCoefficients
-	// visits subsets in a fixed order, and the per-marginal cell variance is
-	// Var((Cα)_γ) = Σ_{β⪯α} (2^{d/2−k})²·Var(z_β) = 2^{d−2k}·Σ Var.
+	// Theorem 4.1 reconstruction reads only the coefficients β ⪯ α_i, in
+	// packed-cell order, which is subset-walk order; the per-marginal cell
+	// variance is Var((Cα)_γ) = Σ_{β⪯α} (2^{d/2−k})²·Var(z_β) = 2^{d−2k}·Σ Var.
 	rm := func(i int, z *vector.Blocked, groupVar []float64) ([]float64, float64, error) {
 		if z.Len() != len(support) || len(groupVar) != len(support) {
 			return nil, 0, fmt.Errorf("strategy: fourier recover got %d answers, %d variances", z.Len(), len(groupVar))
 		}
-		m := w.Marginals[i]
-		coeff := make(map[bits.Mask]float64, 1<<uint(m.Order()))
+		cols := fi.Cols[i]
+		cells := make([]float64, len(cols))
 		sum := 0.0
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			coeff[beta] = z.At(colOf[beta])
-			sum += groupVar[colOf[beta]]
-		})
-		rCoefSq := math.Pow(2, float64(d-2*m.Order()))
-		return m.EvalFromFourier(d, coeff), rCoefSq * sum, nil
+		for p, c := range cols {
+			cells[p] = z.At(int(c))
+			sum += groupVar[c]
+		}
+		transform.MarginalFromPacked(d, cells)
+		rCoefSq := math.Pow(2, float64(d-2*w.Marginals[i].Order()))
+		return cells, rCoefSq * sum, nil
 	}
 	return &Plan{
 		Strategy: "F",

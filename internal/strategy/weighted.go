@@ -3,7 +3,6 @@ package strategy
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/marginal"
 )
 
@@ -101,18 +100,7 @@ func (s Fourier) PlanWeighted(w *marginal.Workload, a []float64) (*Plan, error) 
 	if a == nil {
 		return plan, nil
 	}
-	support := w.FourierSupport()
-	colOf := make(map[bits.Mask]int, len(support))
-	for c, b := range support {
-		colOf[b] = c
-	}
-	weights := make([]float64, len(support))
-	for i, m := range w.Marginals {
-		contrib := weightAt(a, i) * float64(int64(1)<<uint(w.D-m.Order()))
-		m.Alpha.VisitSubsets(func(beta bits.Mask) {
-			weights[colOf[beta]] += contrib
-		})
-	}
+	weights := fourierWeights(w, a)
 	for i := range plan.Specs {
 		plan.Specs[i].RowWeight = weights[i]
 	}

@@ -15,6 +15,7 @@ package transform
 import (
 	"fmt"
 	"math"
+	mathbits "math/bits"
 	"runtime"
 	"sync"
 
@@ -408,38 +409,15 @@ func (h *Hierarchy) RangeDecomposition(lo, hi int) []int {
 	return out
 }
 
-// MarginalFromCoefficients evaluates a marginal Cα from Fourier
+// MarginalFromPacked evaluates a marginal Cα in place from its Fourier
 // coefficients via Theorem 4.1: (Cα x)_γ = 2^{d/2−‖α‖} Σ_{β⪯α}
 // (−1)^{⟨β,γ⟩}·θ_β, computed with one small 2^‖α‖ WHT.
 //
-// coeff maps β → θ_β = ⟨f^β, x⟩; every β ⪯ alpha must be present.
-// The result has 2^‖α‖ entries indexed by bits.CellIndex(alpha, γ).
-func MarginalFromCoefficients(d int, alpha bits.Mask, coeff map[bits.Mask]float64) []float64 {
-	out := make([]float64, 1<<uint(alpha.Count()))
-	MarginalFromCoefficientsInto(d, alpha, coeff, out)
-	return out
-}
-
-// MarginalFromCoefficientsInto is MarginalFromCoefficients writing into a
-// caller-provided slice (the alloc-free path for consistency's per-marginal
-// answer evaluation). len(out) must be exactly 2^‖α‖.
-func MarginalFromCoefficientsInto(d int, alpha bits.Mask, coeff map[bits.Mask]float64, out []float64) {
-	k := alpha.Count()
-	cells := 1 << uint(k)
-	if len(out) != cells {
-		panic(fmt.Sprintf("transform: out has %d cells, marginal needs %d", len(out), cells))
-	}
-	packed := out
-	for i := range packed {
-		packed[i] = 0
-	}
-	alpha.VisitSubsets(func(beta bits.Mask) {
-		v, ok := coeff[beta]
-		if !ok {
-			panic(fmt.Sprintf("transform: missing Fourier coefficient for β=%v", beta))
-		}
-		packed[bits.CellIndex(alpha, beta)] = v
-	})
+// On entry packed[bits.CellIndex(α, β)] holds θ_β = ⟨f^β, x⟩ for every
+// β ⪯ α; on return packed[bits.CellIndex(α, γ)] holds (Cα x)_γ. len(packed)
+// must be 2^‖α‖.
+func MarginalFromPacked(d int, packed []float64) {
+	k := mathbits.TrailingZeros(uint(len(packed)))
 	// The 2^k orthonormal WHT computes 2^{-k/2} Σ_β (−1)^{⟨β,γ⟩} θ_β per
 	// packed index; rescale to 2^{d/2−k}·Σ… = 2^{(d-k)/2}·WHT.
 	WHT(packed)

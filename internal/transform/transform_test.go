@@ -262,15 +262,19 @@ func BenchmarkWHT64K(b *testing.B) {
 	}
 }
 
-func BenchmarkMarginalFromCoefficients(b *testing.B) {
+func BenchmarkMarginalFromPacked(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	d := 16
 	alpha := bits.Mask(0b1010101)
-	coeff := make(map[bits.Mask]float64)
-	alpha.VisitSubsets(func(m bits.Mask) { coeff[m] = rng.NormFloat64() })
+	coeff := make([]float64, 1<<uint(alpha.Count()))
+	for i := range coeff {
+		coeff[i] = rng.NormFloat64()
+	}
+	packed := make([]float64, len(coeff))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MarginalFromCoefficients(d, alpha, coeff)
+		copy(packed, coeff)
+		MarginalFromPacked(d, packed)
 	}
 }
 
