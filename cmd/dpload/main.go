@@ -70,7 +70,7 @@ func main() {
 		coldPlans = flag.Bool("cold-plans", false, "make every request a unique cluster-strategy release with an explicit workload, forcing a cold Step-1 planning pass per request (overrides -mix to release-only; combine with -hot 0)")
 		out       = flag.String("out", "BENCH_dpload.json", "report output path")
 		benchmem  = flag.String("benchmem", "", "companion `go test -bench -benchmem` output file to embed as allocs/op metrics")
-		compare   = flag.String("compare", "", "previous report to compare allocs/op against; exits 1 on regression")
+		compare   = flag.String("compare", "", "previous report to compare allocs/op against; exits 1 on a regression, a -cpu mismatch or a baseline benchmark missing from the run")
 		slack     = flag.Float64("alloc-slack", 0.05, "tolerated fractional allocs/op increase before -compare fails")
 		maxErrs   = flag.Float64("max-error-rate", 1.0, "error-rate threshold above which dpload exits 1 (1.0 = never)")
 	)
@@ -676,7 +676,13 @@ func parseBenchmem(path string) (map[string]benchLine, int, error) {
 }
 
 // compareAllocs checks the current report's allocs/op against a baseline
-// report file, returning one message per regression past the slack.
+// report file, returning one message per regression past the slack. A
+// baseline taken at another GOMAXPROCS, and a baseline benchmark the run
+// did not produce, are failures too: allocs/op at another -cpu do not
+// compare, and a missing name (a -cpu suffix that moved a sub-benchmark
+// such as workers=N, or a rename) would otherwise leave that benchmark
+// silently ungated. A removed or renamed benchmark needs a regenerated
+// baseline.
 func compareAllocs(baselinePath string, cur *report, slack float64) []string {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -686,11 +692,17 @@ func compareAllocs(baselinePath string, cur *report, slack float64) []string {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return []string{fmt.Sprintf("parsing baseline %s: %v", baselinePath, err)}
 	}
+	if base.Config.CPU != cur.Config.CPU {
+		return []string{fmt.Sprintf("baseline %s ran at -cpu %d, this run at -cpu %d: regenerate the baseline at the run's -cpu",
+			baselinePath, base.Config.CPU, cur.Config.CPU)}
+	}
 	var regressions []string
 	for name, b := range base.Benchmem {
 		c, ok := cur.Benchmem[name]
 		if !ok {
-			continue // benchmark removed or renamed: not a regression
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: in the baseline but not in this run", name))
+			continue
 		}
 		if c.AllocsOp > b.AllocsOp*(1+slack)+0.5 {
 			regressions = append(regressions, fmt.Sprintf(

@@ -152,8 +152,7 @@ func l2Project(w *marginal.Workload, noisy []float64, weight []float64, workers 
 	// parallelism already saturates the pool; WHTWorkers would be
 	// bit-identical either way).
 	type transformed struct {
-		buf      *[]float64 // pool token; nil when the marginal is excluded
-		block    []float64
+		block    []float64 // nil when the marginal is excluded
 		numScale float64
 		denTerm  float64
 	}
@@ -163,6 +162,13 @@ func l2Project(w *marginal.Workload, noisy []float64, weight []float64, workers 
 			return nil, fmt.Errorf("consistency: negative weight %v for marginal %d", weight[i], i)
 		}
 	}
+	// Marginal i transforms in scratch[offsets[i]:], one pooled slab laid
+	// out like noisy.
+	slab := scratchPool.Get().(*[]float64)
+	if cap(*slab) < len(noisy) {
+		*slab = make([]float64, len(noisy))
+	}
+	scratch := (*slab)[:len(noisy)]
 	parallelFor(len(w.Marginals), workers, func(i int) {
 		m := w.Marginals[i]
 		wi := 1.0
@@ -174,18 +180,13 @@ func l2Project(w *marginal.Workload, noisy []float64, weight []float64, workers 
 		}
 		k := m.Order()
 		cells := m.Cells()
-		buf := blockPool.Get().(*[]float64)
-		if cap(*buf) < cells {
-			*buf = make([]float64, cells)
-		}
-		block := (*buf)[:cells]
+		block := scratch[offsets[i] : offsets[i]+cells]
 		copy(block, noisy[offsets[i]:offsets[i]+cells])
 		transform.WHTWorkers(block, 1)
 		// block[packed β] = 2^{−k/2}·T_β, so T_β = 2^{k/2}·block.
 		twoK := float64(int64(1) << uint(k))
 		rCoef := sqrtN / twoK // 2^{d/2−k}
 		blocks[i] = transformed{
-			buf:      buf,
 			block:    block,
 			numScale: wi * rCoef * math.Sqrt(twoK), // w_i·2^{d/2−k}·2^{k/2}
 			denTerm:  wi * (sqrtN * sqrtN) / twoK,  // w_i·2^{d−k}
@@ -223,11 +224,7 @@ func l2Project(w *marginal.Workload, noisy []float64, weight []float64, workers 
 	}
 	// The transform scratch is dead once the weighted average is folded;
 	// recycle it for the next release.
-	for i := range blocks {
-		if blocks[i].buf != nil {
-			blockPool.Put(blocks[i].buf)
-		}
-	}
+	scratchPool.Put(slab)
 
 	observed := make([]bool, len(fi.Support))
 	for c := range num {
@@ -279,11 +276,13 @@ func evalDense(w *marginal.Workload, coef []float64, observed []bool, workers in
 	return answers, nil
 }
 
-// blockPool recycles the phase-1 transform scratch across calls: the blocks
-// live only from their small WHT until the weighted average folds them, so
-// one release's scratch serves the next — the -benchmem audit showed these
-// per-marginal buffers dominating the consistency stage's allocation count.
-var blockPool = sync.Pool{New: func() any { return new([]float64) }}
+// scratchPool recycles the phase-1 transform scratch across calls: the
+// blocks live only from their small WHT until the weighted average folds
+// them, so one release's scratch serves the next. It is one slab per call
+// rather than a buffer per marginal because a garbage collection empties a
+// sync.Pool: that must cost one allocation, not one per marginal, or
+// allocs/op would follow GC timing and no alloc gate could hold it.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // parallelFor runs fn(i) for i in [0, n), distributed round-robin over the
 // pool. fn must write only its own slots; with workers ≤ 1 it degenerates

@@ -41,8 +41,7 @@ func oracleL2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []flo
 	// parallelism already saturates the pool; WHTWorkers would be
 	// bit-identical either way).
 	type transformed struct {
-		buf      *[]float64 // pool token; nil when the marginal is excluded
-		block    []float64
+		block    []float64 // nil when the marginal is excluded
 		numScale float64
 		denTerm  float64
 	}
@@ -63,18 +62,13 @@ func oracleL2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []flo
 		}
 		k := m.Order()
 		cells := m.Cells()
-		buf := blockPool.Get().(*[]float64)
-		if cap(*buf) < cells {
-			*buf = make([]float64, cells)
-		}
-		block := (*buf)[:cells]
+		block := make([]float64, cells)
 		copy(block, noisy[offsets[i]:offsets[i]+cells])
 		transform.WHTWorkers(block, 1)
 		// block[packed β] = 2^{−k/2}·T_β, so T_β = 2^{k/2}·block.
 		twoK := float64(int64(1) << uint(k))
 		rCoef := sqrtN / twoK // 2^{d/2−k}
 		blocks[i] = transformed{
-			buf:      buf,
 			block:    block,
 			numScale: wi * rCoef * math.Sqrt(twoK), // w_i·2^{d/2−k}·2^{k/2}
 			denTerm:  wi * (sqrtN * sqrtN) / twoK,  // w_i·2^{d−k}
@@ -132,14 +126,6 @@ func oracleL2WeightedWorkers(w *marginal.Workload, noisy []float64, weight []flo
 			}
 		})
 	}
-	// The transform scratch is dead once the weighted average is folded;
-	// recycle it for the next release.
-	for i := range blocks {
-		if blocks[i].buf != nil {
-			blockPool.Put(blocks[i].buf)
-		}
-	}
-
 	coeff := make(map[bits.Mask]float64, len(support))
 	for c, beta := range support {
 		if den[c] != 0 {

@@ -19,10 +19,15 @@ import (
 // noise blocks are handed out) and inside the recover stage (while its
 // marginals are being handed out). Each stage must stop claiming work,
 // return ctx.Err() and leave no goroutine behind, at every worker count.
+// The sizes sit above the serial cutoffs, so with more than one worker the
+// pooled paths are the ones cancelled — the hooks assert they ran.
 func TestCancelDuringMeasureAndRecover(t *testing.T) {
-	w := marginal.AllKWay(6, 2) // 15 marginals
+	w := marginal.AllKWay(14, 13) // 14 marginals of 2^13 cells
 	x := vector.FromDense(make([]float64, 1<<6))
 	const rows = 64 * noiseBlock
+	if w.TotalCells() < recoverParallelMin || rows < perturbParallelMin {
+		t.Fatalf("%d cells, %d rows: below the serial cutoffs", w.TotalCells(), rows)
+	}
 	eta := []float64{1}
 	cfg := Config{Privacy: pureParams(1), Seed: 5}
 	for _, workers := range []int{1, 2, 4} {
@@ -41,22 +46,27 @@ func TestCancelDuringMeasureAndRecover(t *testing.T) {
 		if _, err := (Measurer{}).Measure(ctx, plan, x, eta, cfg, workers, 16); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: sharded measure returned %v, want context.Canceled", workers, err)
 		}
-		if n := computed.Load(); int(n) > workers {
-			t.Fatalf("workers=%d: %d answer blocks computed after the cancel, want at most one per worker", workers, n)
+		if n := computed.Load(); n == 0 || int(n) > workers {
+			t.Fatalf("workers=%d: %d answer blocks computed, want at least one and at most one per worker", workers, n)
 		}
 
 		// Measure, monolithic: the exact answers cancel, so no noise block
 		// may start.
 		ctx, cancel = context.WithCancel(context.Background())
+		var answered atomic.Bool
 		plan = &strategy.Plan{
 			Specs: []budget.Spec{{Count: rows, RowWeight: 1, C: 1}},
 			TrueAnswers: func(*vector.Blocked, int) []float64 {
+				answered.Store(true)
 				cancel()
 				return make([]float64, rows)
 			},
 		}
 		if _, err := (Measurer{}).Measure(ctx, plan, x, eta, cfg, workers, 1); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: measure returned %v, want context.Canceled", workers, err)
+		}
+		if !answered.Load() {
+			t.Fatalf("workers=%d: measure returned before computing its answers", workers)
 		}
 
 		// Recover: the first marginal cancels.
@@ -76,8 +86,8 @@ func TestCancelDuringMeasureAndRecover(t *testing.T) {
 		if _, _, err := (Recoverer{}).Recover(ctx, w, plan, vector.FromDense(nil), nil, workers); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: recover returned %v, want context.Canceled", workers, err)
 		}
-		if n := recovered.Load(); int(n) > workers {
-			t.Fatalf("workers=%d: %d marginals recovered after the cancel, want at most one per worker", workers, n)
+		if n := recovered.Load(); int(n) > workers || workers > 1 && n == 0 {
+			t.Fatalf("workers=%d: %d marginals recovered, want at most one per worker (and the pooled path used)", workers, n)
 		}
 
 		// Every pool goroutine has exited (they may take a moment to be

@@ -64,6 +64,15 @@
 // matters: a block's draws depend only on (seed, group, block), and a
 // marginal's recovery writes only its own slot.
 //
+// Tiny work is not fanned out at all. A noise pass over fewer than
+// perturbParallelMin (2·noiseBlock) rows walks the same block grid on the
+// calling goroutine, and a workload of fewer than recoverParallelMin
+// (2^14) cells recovers through the serial Plan.Recover. A Fourier release
+// at the paper's shapes is hundreds of one-row noise groups and tiny
+// marginals, for which the pool's start-up and its shared claim counter
+// cost more than the arithmetic. The cutoffs are constants, like the WHT's
+// whtParallelMin, and only pick between two bit-identical paths.
+//
 // # Determinism contract
 //
 // A release is a pure function of (workload, data cells, Config). The

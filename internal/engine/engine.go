@@ -629,6 +629,18 @@ type NoiseGroup struct {
 // worker count — block boundaries are part of the determinism contract.
 const noiseBlock = 4096
 
+// perturbParallelMin and recoverParallelMin are the smallest noise pass
+// (strategy rows) and recovery (workload cells) worth fanning out: below
+// them the pool's goroutine start-up and the contended claim counter cost
+// more than the work itself — a Fourier release is hundreds of one-row
+// noise blocks and as many tiny marginals. They only choose between the
+// serial and the parallel path, which are bit-identical, so they are
+// constants rather than options.
+const (
+	perturbParallelMin = 2 * noiseBlock
+	recoverParallelMin = 1 << 14
+)
+
 // Perturb adds one noise draw per strategy row: row r of the group at
 // position g in groups reads the substream derived from (seed, g,
 // ⌊r/noiseBlock⌋), so the value depends only on (seed, g, r) — never on the
@@ -661,22 +673,10 @@ func PerturbVectorContext(ctx context.Context, z *vector.Blocked, groups []Noise
 		eta    float64
 		sub    uint64
 	}
-	count := 0
+	count, rows := 0, 0
 	for _, grp := range groups {
 		count += (grp.Count + noiseBlock - 1) / noiseBlock
-	}
-	blocks := make([]block, 0, count)
-	for g, grp := range groups {
-		for b := 0; b < grp.Count; b += noiseBlock {
-			n := noiseBlock
-			if grp.Count-b < n {
-				n = grp.Count - b
-			}
-			blocks = append(blocks, block{
-				off: grp.Start + b, n: n, eta: grp.Eta,
-				sub: uint64(g)<<32 | uint64(b/noiseBlock),
-			})
-		}
+		rows += grp.Count
 	}
 	// One reseedable substream Source per worker: the draws of a block are a
 	// pure function of (seed, bl.sub), so repositioning a reused Source via
@@ -691,15 +691,34 @@ func PerturbVectorContext(ctx context.Context, z *vector.Blocked, groups []Noise
 			}
 		})
 	}
-	if workers <= 1 || len(blocks) <= 1 {
+	if workers <= 1 || count <= 1 || rows < perturbParallelMin {
+		// The serial path walks the same block grid in order, with no work
+		// list; a poll of ctx.Done() between blocks costs no lock.
+		done := ctx.Done()
 		src := noise.NewSubstream(seed, 0)
-		for _, bl := range blocks {
-			if err := ctx.Err(); err != nil {
-				return err
+		for g, grp := range groups {
+			for b := 0; b < grp.Count; b += noiseBlock {
+				select {
+				case <-done:
+					return ctx.Err()
+				default:
+				}
+				perturbBlock(src, block{
+					off: grp.Start + b, n: min(noiseBlock, grp.Count-b), eta: grp.Eta,
+					sub: uint64(g)<<32 | uint64(b/noiseBlock),
+				})
 			}
-			perturbBlock(src, bl)
 		}
 		return nil
+	}
+	blocks := make([]block, 0, count)
+	for g, grp := range groups {
+		for b := 0; b < grp.Count; b += noiseBlock {
+			blocks = append(blocks, block{
+				off: grp.Start + b, n: min(noiseBlock, grp.Count-b), eta: grp.Eta,
+				sub: uint64(g)<<32 | uint64(b/noiseBlock),
+			})
+		}
 	}
 	forEachIndex(ctx, len(blocks), workers, func(q *indexQueue) {
 		src := noise.NewSubstream(seed, 0)
@@ -751,10 +770,10 @@ func forEachIndex(ctx context.Context, n, workers int, work func(q *indexQueue))
 }
 
 // Recoverer is the default RecoverStage. When the plan supports per-marginal
-// recovery and more than one worker is available, marginals recover
-// concurrently, each reading the shards of z it needs (merged shard
-// contributions — the blocked accessors gather exactly the answer ranges a
-// marginal touches); the serial path and the parallel path are bit-identical
+// recovery, more than one worker is available and the workload has at least
+// recoverParallelMin cells, marginals recover concurrently, each reading the
+// shards of z it needs (merged shard contributions — the blocked accessors
+// gather exactly the answer ranges a marginal touches); the serial path and the parallel path are bit-identical
 // because strategy.Plan's contract requires Recover to equal the
 // concatenation of RecoverMarginal outputs (both accumulate in the same
 // order per output cell).
@@ -767,7 +786,7 @@ func (Recoverer) Recover(ctx context.Context, w *marginal.Workload, plan *strate
 		return nil, nil, err
 	}
 	sp := telemetry.SpanFrom(ctx)
-	if plan.RecoverMarginal == nil || workers <= 1 || len(w.Marginals) <= 1 {
+	if plan.RecoverMarginal == nil || workers <= 1 || len(w.Marginals) <= 1 || w.TotalCells() < recoverParallelMin {
 		rsp := sp.StartDetail("recover.serial")
 		answers, cellVar, err := plan.Recover(z, groupVar)
 		rsp.End()

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/budget"
 	"repro/internal/marginal"
 	"repro/internal/noise"
@@ -319,6 +320,75 @@ func TestPerturbBlockBoundaries(t *testing.T) {
 	}
 }
 
+// TestSerialCutoffsBitIdentical: just below and just above the serial
+// cutoffs (perturbParallelMin rows, recoverParallelMin cells), Perturb and
+// a full release give Float64bits-identical answers at workers {1, 2, 4}.
+// Below the cutoffs every worker count runs the serial path and above it
+// the pooled one, so this pins the two paths to each other, and the noise
+// of the rows both sizes share to be the same on either side.
+func TestSerialCutoffsBitIdentical(t *testing.T) {
+	p := pureParams(1)
+	// Perturb: 100 one-row groups, as a Fourier release has, then one group
+	// holding the rest.
+	perturb := func(rows, workers int) []float64 {
+		groups := make([]NoiseGroup, 0, 101)
+		for g := 0; g < 100; g++ {
+			groups = append(groups, NoiseGroup{Start: g, Count: 1, Eta: 0.5})
+		}
+		groups = append(groups, NoiseGroup{Start: 100, Count: rows - 100, Eta: 0.25})
+		z := make([]float64, rows)
+		Perturb(z, groups, p, 13, workers)
+		return z
+	}
+	below := perturb(perturbParallelMin-1, 1)
+	for _, rows := range []int{perturbParallelMin - 1, perturbParallelMin} {
+		for _, workers := range []int{1, 2, 4} {
+			z := perturb(rows, workers)
+			for r := range below {
+				if math.Float64bits(z[r]) != math.Float64bits(below[r]) {
+					t.Fatalf("perturb rows=%d workers=%d: row %d differs from the serial run", rows, workers, r)
+				}
+			}
+		}
+	}
+
+	// Recover: marginals of 2^13, 2^12, …, 1 cells over d=14 hold
+	// recoverParallelMin−1 cells; one more one-attribute marginal crosses.
+	const d = 14
+	alphas := make([]bits.Mask, 0, d+1)
+	for k := d - 1; k >= 0; k-- {
+		alphas = append(alphas, bits.Full(k))
+	}
+	rng := rand.New(rand.NewSource(21))
+	x := testX(rng, d)
+	cfg := Config{Strategy: strategy.Fourier{}, Budgeting: OptimalBudget,
+		Consistency: WeightedL2Consistency, Privacy: p, Seed: 17}
+	for _, w := range []*marginal.Workload{
+		marginal.MustWorkload(d, alphas),
+		marginal.MustWorkload(d, append(alphas, 1<<(d-1))),
+	} {
+		var want []float64
+		for _, workers := range []int{1, 2, 4} {
+			rel, err := New(Options{Workers: workers}).Run(w, x, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = rel.Answers
+				continue
+			}
+			for i := range want {
+				if math.Float64bits(rel.Answers[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("recover cells=%d workers=%d: cell %d differs from workers=1", w.TotalCells(), workers, i)
+				}
+			}
+		}
+	}
+	if n := marginal.MustWorkload(d, alphas).TotalCells(); n != recoverParallelMin-1 {
+		t.Fatalf("below-cutoff workload has %d cells, want %d", n, recoverParallelMin-1)
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := 4
@@ -394,8 +464,8 @@ func TestPerturbContextCancelled(t *testing.T) {
 }
 
 // TestPerturbAllocsPinned pins the zero-alloc contract of the perturb stage:
-// the serial path allocates only its block list and one reseedable substream
-// Source, independent of the number of noise blocks. A regression here means
+// the serial path allocates only one reseedable substream Source,
+// independent of the number of noise blocks. A regression here means
 // per-block scratch crept back into the inner loop.
 func TestPerturbAllocsPinned(t *testing.T) {
 	const rows = 1 << 16 // 16 noise blocks
@@ -408,8 +478,8 @@ func TestPerturbAllocsPinned(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		Perturb(z, groups, p, 42, 1)
 	})
-	// Blocks slice + Source (splitmix state, rand.Rand, Source) + the
-	// FromDense wrapper; anything scaling with block count is a regression.
+	// Source (splitmix state, rand.Rand, Source) + the FromDense wrapper;
+	// anything scaling with block count is a regression.
 	const maxAllocs = 8
 	if allocs > maxAllocs {
 		t.Fatalf("serial Perturb allocates %v per run over %d blocks, want <= %d",

@@ -177,12 +177,26 @@ func appendTablesJSON(dst []byte, tables []marginalJSON) ([]byte, error) {
 // shortest 'f' form, or 'e' form when 0 < |f| < 1e-6 or |f| ≥ 1e21, with
 // a two-digit negative exponent shortened (e-07 → e-7). NaN and ±Inf
 // have no JSON form and are refused, as json.Marshal refuses them.
+//
+// Every released cell and variance passes through here, so the common
+// case — a normal double with 1e-6 ≤ |f| < 1e21 — takes its shortest
+// digits from Schubfach (shortest.go) and writes them straight into dst
+// in the 'f' layout, at about half strconv's cost. Zero, subnormals and
+// the 'e' range keep the strconv path. FuzzFloatJSON and
+// TestFloatJSONGolden hold both paths to json.Marshal byte for byte.
 func appendFloatJSON(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
+	abs := math.Abs(f)
+	if abs >= 1e-6 && abs < 1e21 {
+		b := math.Float64bits(f)
+		c := b&(1<<52-1) | 1<<52
+		q := int(b>>52&0x7ff) - 1075
+		return appendShortestF(dst, b>>63 != 0, c, q), nil
+	}
 	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+	if abs != 0 {
 		format = 'e'
 	}
 	dst = strconv.AppendFloat(dst, f, format, -1, 64)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro"
@@ -120,6 +122,134 @@ func TestTableEncoderMatchesJSON(t *testing.T) {
 			t.Errorf("budget %v accepted", bad)
 		}
 	}
+}
+
+// TestFloatJSONGolden: appendFloatJSON equals json.Marshal on the values
+// where a shortest-digit renderer is most likely to slip — every power of
+// two and its neighbours (the binade edges, where the gap below a value is
+// half the gap above), the powers of ten and their neighbours, the ends of
+// the exact-integer range and of the 'f' range, and the extreme normals —
+// at both signs.
+func TestFloatJSONGolden(t *testing.T) {
+	var vals []float64
+	around := func(f float64) {
+		vals = append(vals, f, math.Nextafter(f, 0), math.Nextafter(f, math.Inf(1)))
+	}
+	for e := -1022; e <= 1023; e++ {
+		around(math.Ldexp(1, e))
+	}
+	for p := -7; p <= 22; p++ {
+		f, err := strconv.ParseFloat("1e"+strconv.Itoa(p), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		around(f)
+	}
+	around(1 << 53)
+	vals = append(vals, 1<<53-1, 1<<53+2, 2.2250738585072014e-308, math.MaxFloat64, math.SmallestNonzeroFloat64)
+	for _, f := range vals {
+		for _, v := range []float64{f, -f} {
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := appendFloatJSON(nil, v)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%v (%#x): got %s (%v), want %s", v, math.Float64bits(v), got, err, want)
+			}
+		}
+	}
+}
+
+// TestFloatJSONNoisyValues: appendFloatJSON equals json.Marshal on the
+// values a release renders — noisy counts, which are near-integers with
+// 16–17 significant digits — and on log-uniform magnitudes across the
+// whole 'f' range.
+func TestFloatJSONNoisyValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 200000; i++ {
+		f := float64(rng.Intn(50000)) + rng.NormFloat64()*4
+		if i%2 == 1 {
+			f = math.Pow(10, rng.Float64()*27-6)
+		}
+		want, _ := json.Marshal(f)
+		got, err := appendFloatJSON(nil, f)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v (%#x): got %s (%v), want %s", f, math.Float64bits(f), got, err, want)
+		}
+	}
+}
+
+// TestSchubfachLogs pins the fixed-point logarithms and the table behind
+// the shortest-digit renderer to exact integer arithmetic over every
+// exponent a float64 reaches: ⌊log₁₀ 2^e⌋, ⌊log₁₀ ¾·2^e⌋ and ⌊log₂ 10^e⌋,
+// and each table entry g in [2^125, 2^126).
+func TestSchubfachLogs(t *testing.T) {
+	// floorLog returns ⌊log_b(num/den)⌋ for positive integers num and den.
+	floorLog := func(b int64, num, den *big.Int) int {
+		base := big.NewInt(b)
+		n := 0
+		x, y := new(big.Int).Set(num), new(big.Int).Set(den)
+		for x.Cmp(y) < 0 {
+			x.Mul(x, base)
+			n--
+		}
+		for {
+			y.Mul(y, base)
+			if x.Cmp(y) < 0 {
+				return n
+			}
+			n++
+		}
+	}
+	pow := func(b int64, e int) (*big.Int, *big.Int) {
+		p := new(big.Int).Exp(big.NewInt(b), big.NewInt(int64(max(e, -e))), nil)
+		if e >= 0 {
+			return p, big.NewInt(1)
+		}
+		return big.NewInt(1), p
+	}
+	for e := -1200; e <= 1200; e++ {
+		num, den := pow(2, e)
+		if got, want := flog10pow2(e), floorLog(10, num, den); got != want {
+			t.Fatalf("flog10pow2(%d) = %d, want %d", e, got, want)
+		}
+		num.Mul(num, big.NewInt(3))
+		den.Mul(den, big.NewInt(4))
+		if got, want := flog10ThreeQuartersPow2(e), floorLog(10, num, den); got != want {
+			t.Fatalf("flog10ThreeQuartersPow2(%d) = %d, want %d", e, got, want)
+		}
+	}
+	for e := -400; e <= 400; e++ {
+		num, den := pow(10, e)
+		if got, want := flog2pow10(e), floorLog(2, num, den); got != want {
+			t.Fatalf("flog2pow10(%d) = %d, want %d", e, got, want)
+		}
+	}
+	for i, g := range schubfachTable {
+		if g[0] < 1<<62 || g[0] >= 1<<63 || g[1] >= 1<<63 {
+			t.Fatalf("table entry k=%d = %#x·2^63 + %#x is not in [2^125, 2^126)", i+schubfachKMin, g[0], g[1])
+		}
+	}
+}
+
+// FuzzFloatJSON: for any bit pattern, appendFloatJSON renders exactly what
+// json.Marshal does, and refuses exactly what it refuses (NaN, ±Inf).
+func FuzzFloatJSON(f *testing.F) {
+	for _, g := range goldenFloats {
+		f.Add(math.Float64bits(g))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		v := math.Float64frombits(b)
+		want, wantErr := json.Marshal(v)
+		got, err := appendFloatJSON(nil, v)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%#x: error %v, json.Marshal error %v", b, err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("%v (%#x): got %s, want %s", v, b, got, want)
+		}
+	})
 }
 
 // matchJSON fails t unless render returns exactly json.Marshal(v).

@@ -42,11 +42,11 @@ func WHTWorkers(x []float64, workers int) {
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("transform: length %d is not a power of two", n))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if workers <= 0 && n >= whtParallelMin {
+		workers = runtime.GOMAXPROCS(0) // only where it can matter: it takes the scheduler lock
 	}
 	scale := 1 / math.Sqrt(float64(n))
-	if workers == 1 || n < whtParallelMin {
+	if workers <= 1 || n < whtParallelMin {
 		whtButterflies(x)
 		for i := range x {
 			x[i] *= scale

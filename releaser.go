@@ -60,6 +60,10 @@ type Releaser struct {
 	noPreplan       bool
 
 	seq atomic.Uint64 // ledger label counter
+
+	// attrs lists, per marginal of w, the schema attributes it covers: the
+	// workload and schema are fixed, so every result copies these.
+	attrs [][]int
 }
 
 // ReleaserOption configures a Releaser at construction.
@@ -240,7 +244,7 @@ func NewReleaserContext(ctx context.Context, schema *Schema, w *Workload, opts .
 		return nil, fmt.Errorf("%w: workload dimension %d, schema dimension %d",
 			ErrDimensionMismatch, w.D, schema.Dim())
 	}
-	r := &Releaser{schema: schema, w: w, strategy: StrategyFourier}
+	r := &Releaser{schema: schema, w: w, strategy: StrategyFourier, attrs: tableAttrs(schema, w)}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("%w: nil ReleaserOption", ErrInvalidOption)
@@ -419,7 +423,7 @@ func (r *Releaser) ReleaseBlocked(ctx context.Context, x *BlockedVector, spec Re
 	if err != nil {
 		return nil, err
 	}
-	return buildResult(r.w, r.schema, rel), nil
+	return buildResult(r.w, r.attrs, rel), nil
 }
 
 // ReleaseDataset privately answers the Releaser's workload over an ingested
@@ -580,42 +584,70 @@ func (r *Releaser) params(spec ReleaseSpec) noise.Params {
 }
 
 // buildResult shapes an engine release into the public per-marginal form.
-func buildResult(w *Workload, schema *Schema, rel *engine.Release) *Result {
+// The tables' cells are capped views of one copy of the answers and their
+// attrs capped views of one copy of attrs, so appending to a table never
+// reaches its neighbour and writing one never reaches Result.Answers.
+func buildResult(w *Workload, attrs [][]int, rel *engine.Release) *Result {
 	res := &Result{
 		Answers:       rel.Answers,
 		TotalVariance: rel.TotalVariance,
 		Strategy:      rel.StrategyName,
 	}
-	per := perMarginal(w, rel.Answers)
+	cells := perMarginal(w, rel.Answers)
+	var attrBuf []int
+	if attrs != nil {
+		n := 0
+		for _, a := range attrs {
+			n += len(a)
+		}
+		attrBuf = make([]int, 0, n)
+	}
 	res.Tables = make([]MarginalTable, len(w.Marginals))
 	for i, m := range w.Marginals {
 		mt := MarginalTable{
 			Mask:     m.Alpha,
-			Cells:    per[i],
+			Cells:    cells[i],
 			Variance: rel.CellVariances[i],
 		}
-		if schema != nil {
-			for ai := range schema.Attrs {
-				am := schema.AttrMask(ai)
-				if m.Alpha&am != 0 {
-					mt.Attrs = append(mt.Attrs, ai)
-				}
-			}
+		if attrs != nil && len(attrs[i]) > 0 {
+			lo := len(attrBuf)
+			attrBuf = append(attrBuf, attrs[i]...)
+			mt.Attrs = attrBuf[lo:len(attrBuf):len(attrBuf)]
 		}
 		res.Tables[i] = mt
 	}
 	return res
 }
 
-// perMarginal splits the concatenated answers into per-marginal tables,
-// each a copy.
+// tableAttrs lists, per marginal of w, the indices of the schema attributes
+// it covers: nil for a marginal over none, and nil altogether without a
+// schema.
+func tableAttrs(schema *Schema, w *Workload) [][]int {
+	if schema == nil {
+		return nil
+	}
+	out := make([][]int, len(w.Marginals))
+	for i, m := range w.Marginals {
+		for ai := range schema.Attrs {
+			if m.Alpha&schema.AttrMask(ai) != 0 {
+				out[i] = append(out[i], ai)
+			}
+		}
+	}
+	return out
+}
+
+// perMarginal splits the concatenated answers into per-marginal tables:
+// capped views of one copy, so the tables share no memory with answers
+// and an append to one never overwrites the next.
 func perMarginal(w *Workload, answers []float64) [][]float64 {
 	out := make([][]float64, len(w.Marginals))
-	offsets := w.Offsets()
+	buf := append([]float64(nil), answers[:w.TotalCells()]...)
+	off := 0
 	for i, m := range w.Marginals {
-		block := make([]float64, m.Cells())
-		copy(block, answers[offsets[i]:offsets[i]+m.Cells()])
-		out[i] = block
+		n := m.Cells()
+		out[i] = buf[off : off+n : off+n]
+		off += n
 	}
 	return out
 }

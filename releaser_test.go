@@ -381,6 +381,77 @@ func TestChargeCarriesSigma(t *testing.T) {
 	}
 }
 
+// TestResultTablesDoNotAlias: a Result's tables are views of shared
+// backing arrays, capped so that appending to one table's Cells or Attrs
+// never overwrites its neighbour; writing a table cell never reaches
+// Result.Answers, and writing a table's Attrs never reaches the next
+// release. Without a schema, Attrs stay nil.
+func TestResultTablesDoNotAlias(t *testing.T) {
+	tab := smallTable()
+	// The empty marginal covers no attribute, so its Attrs stay nil too.
+	w, err := MarginalsOver(tab.Schema, [][]int{{0}, {1}, {}, {0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReleaser(tab.Schema, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: 1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAttrs := [][]int{{0}, {1}, nil, {0, 2}}
+	for i, mt := range res.Tables {
+		if len(mt.Attrs) != len(wantAttrs[i]) || (mt.Attrs == nil) != (wantAttrs[i] == nil) {
+			t.Fatalf("table %d attrs %v, want %v", i, mt.Attrs, wantAttrs[i])
+		}
+		for j := range mt.Attrs {
+			if mt.Attrs[j] != wantAttrs[i][j] {
+				t.Fatalf("table %d attrs %v, want %v", i, mt.Attrs, wantAttrs[i])
+			}
+		}
+	}
+	next0, next1 := res.Tables[1].Cells[0], res.Tables[1].Attrs[0]
+	_ = append(res.Tables[0].Cells, -1)
+	_ = append(res.Tables[0].Attrs, -1)
+	if res.Tables[1].Cells[0] != next0 || res.Tables[1].Attrs[0] != next1 {
+		t.Fatal("appending to table 0 overwrote table 1")
+	}
+	answer0 := res.Answers[0]
+	res.Tables[0].Cells[0] = answer0 + 99
+	if res.Answers[0] != answer0 {
+		t.Fatal("writing a table cell changed Result.Answers")
+	}
+	res.Tables[3].Attrs[1] = 99
+	again, err := r.Release(ctx, tab, ReleaseSpec{Epsilon: 1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Tables[3].Attrs; len(got) != 2 || got[1] != 2 {
+		t.Fatalf("a write to one result's attrs reached the next: %v", got)
+	}
+
+	rv, err := NewReleaser(nil, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := tab.Vector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vres, err := rv.ReleaseVector(ctx, x, ReleaseSpec{Epsilon: 1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, mt := range vres.Tables {
+		if mt.Attrs != nil {
+			t.Fatalf("nil schema: table %d attrs %v, want nil", i, mt.Attrs)
+		}
+	}
+}
+
 func TestPerMarginal(t *testing.T) {
 	w := marginal.MustWorkload(3, []bits.Mask{0b100, 0b110})
 	answers := []float64{4, 1, 3, 1, 0, 1}
