@@ -83,20 +83,30 @@ func ReleaseCubeBlockedContext(ctx context.Context, schema *Schema, counts *Bloc
 //
 // Beyond materialising the vector (one inverse transform over the 2^d
 // domain), the cost is linear in the domain plus the rows emitted:
-// apportionment selects the largest remainders rather than sorting them,
-// and every row is a capacity-capped view of one backing array of
-// rows × attributes ints. The output for a given release and seed is fixed.
+// apportionment floors each cell once and selects the largest remainders
+// rather than sorting them, sampling shuffles one 4-byte cell index per
+// row, and the rows are then decoded into one backing array of rows ×
+// attributes ints, each row a capacity-capped view of it. A decoded NLTCS
+// row (16 attributes) costs 152 bytes: a slice header and sixteen ints.
+// Releaser.SyntheticCells, which the server renders /v1/synthetic bodies
+// from, stops before the decode, at 4 bytes per row. The output for a
+// given release and seed is fixed.
 //
 // The release must have been produced with consistency enabled (the
 // default); SkipConsistency releases carry no coefficients to materialise.
 func SyntheticData(s *Schema, w *Workload, res *Result, seed int64) (*Table, error) {
-	return syntheticData(context.Background(), s, w, res, seed)
+	cells, err := syntheticCells(context.Background(), s, w, res, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Table{Schema: s, Rows: synth.DecodeRows(s, cells)}, nil
 }
 
-// syntheticData is SyntheticData under ctx, checked between materialising,
-// apportioning and sampling: a large domain spends seconds there, and a
-// caller that has gone away should not pay for all of it.
-func syntheticData(ctx context.Context, s *Schema, w *Workload, res *Result, seed int64) (*Table, error) {
+// syntheticCells is the one synthetic-data pipeline: materialise the
+// release's estimated vector, round it to counts and shuffle one cell index
+// per row. ctx is checked between the steps: a large domain spends seconds
+// there, and a caller that has gone away should not pay for all of it.
+func syntheticCells(ctx context.Context, s *Schema, w *Workload, res *Result, seed int64) ([]int32, error) {
 	rel, err := ReleaseVectorCoefficients(s, w, res)
 	if err != nil {
 		return nil, err
@@ -108,8 +118,8 @@ func syntheticData(ctx context.Context, s *Schema, w *Workload, res *Result, see
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tab, _ := synth.SampleTuples(s, counts, seed)
-	return tab, nil
+	cells, _ := synth.SampleCells(s, counts, seed)
+	return cells, nil
 }
 
 // ReleaseVectorCoefficients reconstructs the estimated contingency vector

@@ -1,53 +1,162 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
+
+	"repro"
 )
 
 // Reflection-free renderers for the release-shaped response bodies. Each
 // returns, byte for byte, what json.Marshal produces for the same wire
-// struct (pinned by TestSyntheticEncoderMatchesJSON and
-// TestTableEncoderMatchesJSON), because the result cache replays these
-// bytes and a hit must be indistinguishable from the miss that made it.
-// The bodies are mostly numbers: encoding/json reaches each one by
-// reflection, while here each value is one append. Strings keep
-// encoding/json's own escaping (HTML-safe <, >, & and U+2028/9), so they
-// still go through json.Marshal.
+// struct (pinned by TestSyntheticEncoderMatchesJSON,
+// TestSyntheticCellsMatchRows and TestTableEncoderMatchesJSON), because
+// the result cache replays these bytes and a hit must be indistinguishable
+// from the miss that made it. The bodies are mostly numbers: encoding/json
+// reaches each one by reflection, while here each value is one append.
+// Strings keep encoding/json's own escaping (HTML-safe <, >, & and
+// U+2028/9), so they still go through json.Marshal.
 
-// encodeSyntheticBody renders a /v1/synthetic body. A synthetic sample is
-// thousands of small-integer rows; digits 0–9 — almost every categorical
-// code — take one byte each.
-func encodeSyntheticBody(b syntheticBody) ([]byte, error) {
-	strategy, err := json.Marshal(b.Strategy)
+// encodeSyntheticRows renders a /v1/synthetic body straight from the
+// sampled cell indices: row k is cells[k] decoded under schema, each
+// attribute's value read by shift and mask, so the rows are never built as
+// [][]int. The body is allocated once, at its exact length. A synthetic
+// sample is thousands of small-integer rows; digits 0–9 — almost every
+// categorical code — take one byte each.
+func encodeSyntheticRows(strategy string, schema *repro.Schema, cells []int32) ([]byte, error) {
+	name, err := json.Marshal(strategy)
 	if err != nil {
 		return nil, err
 	}
-	size := len(`{"strategy":,"count":,"rows":[]}`) + len(strategy) + 20
-	for _, row := range b.Rows {
-		size += 2 + 2*len(row) // brackets and, per value, one digit and a comma
+	fields := make([]cellField, len(schema.Attrs))
+	// Each row is its brackets, a comma between values and one digit per
+	// value; codes of ten and above add their extra digits.
+	row := 2 + max(2*len(fields)-1, 0)
+	size := len(`{"strategy":,"count":,"rows":[]}`) + len(name) + decimalLen(uint64(len(cells))) +
+		len(cells)*row + max(len(cells)-1, 0)
+	narrow := len(fields) > 0 // every code has one digit: all rows share one layout
+	for i, a := range schema.Attrs {
+		f := cellField{uint32(schema.Offset(i)), 1<<uint(a.BitWidth()) - 1}
+		fields[i] = f
+		if f.mask >= 10 {
+			narrow = false
+			for _, c := range cells {
+				size += decimalLen(uint64(f.code(c))) - 1
+			}
+		}
 	}
 	dst := make([]byte, 0, size)
 	dst = append(dst, `{"strategy":`...)
-	dst = append(dst, strategy...)
+	dst = append(dst, name...)
 	dst = append(dst, `,"count":`...)
-	dst = strconv.AppendInt(dst, int64(b.Count), 10)
-	dst = append(dst, `,"rows":`...)
-	if b.Rows == nil {
-		dst = append(dst, "null"...)
+	dst = strconv.AppendInt(dst, int64(len(cells)), 10)
+	dst = append(dst, `,"rows":[`...)
+	if narrow && len(cells) > 0 {
+		dst = appendNarrowRows(dst, fields, cells, row)
 	} else {
+		dst = appendRows(dst, fields, cells)
+	}
+	return append(dst, ']', '}'), nil
+}
+
+// cellField locates one attribute in a packed cell index.
+type cellField struct{ shift, mask uint32 }
+
+func (f cellField) code(cell int32) uint32 { return uint32(cell) >> f.shift & f.mask }
+
+// appendRows appends the rows of cells, comma-separated.
+func appendRows(dst []byte, fields []cellField, cells []int32) []byte {
+	for k, c := range cells {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
 		dst = append(dst, '[')
-		for i, row := range b.Rows {
+		for i, f := range fields {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendIntsJSON(dst, row)
+			if v := f.code(c); v < 10 {
+				dst = append(dst, byte('0'+v))
+			} else {
+				dst = strconv.AppendUint(dst, uint64(v), 10)
+			}
 		}
 		dst = append(dst, ']')
 	}
-	return append(dst, '}'), nil
+	return dst
+}
+
+// appendNarrowRows is appendRows for at least one row when every code has
+// one digit (every attribute at most 3 bits wide), so every row is row
+// bytes long. dst must have the capacity for all of them.
+//
+// Every four consecutive attributes then occupy at most 12 bits of the
+// index and exactly 8 bytes of the row, "d,d,d,d,": one lookup in a table
+// of those 8 bytes per value of the 12 bits, and one 8-byte store.
+// Attributes past the last group take one digit store each, and the row's
+// final comma becomes its closing bracket.
+func appendNarrowRows(dst []byte, fields []cellField, cells []int32, row int) []byte {
+	type group struct {
+		cellField
+		text []uint64
+	}
+	groups := make([]group, len(fields)/4)
+	size := 0
+	for g := range groups {
+		fs := fields[4*g : 4*g+4]
+		width := fs[3].shift + uint32(bits.Len32(fs[3].mask)) - fs[0].shift
+		groups[g].cellField = cellField{fs[0].shift, 1<<width - 1}
+		size += 1 << width
+	}
+	texts := make([]uint64, size) // every group's table, in one allocation
+	for g := range groups {
+		fs, gr := fields[4*g:4*g+4], &groups[g]
+		gr.text, texts = texts[:gr.mask+1], texts[gr.mask+1:]
+		for e := range gr.text {
+			var t uint64
+			for j, f := range fs {
+				code := uint64(uint32(e)>>(f.shift-gr.shift)&f.mask) + '0'
+				t |= (code | ','<<8) << (16 * j)
+			}
+			gr.text[e] = t
+		}
+	}
+	rest := fields[4*len(groups):]
+	n := len(cells)*(row+1) - 1
+	rows := dst[len(dst) : len(dst)+n]
+	q := 0
+	for _, c := range cells {
+		rows[q] = '['
+		q++
+		for _, g := range groups {
+			binary.LittleEndian.PutUint64(rows[q:], g.text[g.code(c)])
+			q += 8
+		}
+		for _, f := range rest {
+			rows[q] = byte('0' + f.code(c))
+			rows[q+1] = ','
+			q += 2
+		}
+		rows[q-1] = ']'
+		if q < n {
+			rows[q] = ','
+			q++
+		}
+	}
+	return dst[:len(dst)+n]
+}
+
+// decimalLen returns the number of decimal digits of u.
+func decimalLen(u uint64) int {
+	n := 1
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // encodeReleaseBody renders a /v1/release body.
@@ -89,7 +198,8 @@ func encodeCubeBody(b cubeBody) ([]byte, error) {
 	})
 }
 
-// scratchPool holds the buffers render builds bodies in.
+// scratchPool holds the buffers render builds bodies in, and writeSpliced
+// response tails.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // render returns the body fill appends to an empty buffer, copied out at
@@ -131,10 +241,6 @@ func appendBudgetJSON(dst []byte, b budgetJSON) ([]byte, error) {
 	dst = strconv.AppendInt(dst, int64(b.Releases), 10)
 	return append(dst, '}'), nil
 }
-
-// budgetLen bounds a rendered budgetJSON: its keys, four floats of at
-// most 25 characters each and an int.
-const budgetLen = len(`{"epsilon_spent":,"epsilon_cap":,"delta_spent":,"delta_cap":,"releases":}`) + 4*25 + 20
 
 // appendTablesJSON appends the JSON array of tables (null when nil).
 func appendTablesJSON(dst []byte, tables []marginalJSON) ([]byte, error) {

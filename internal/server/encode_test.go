@@ -268,10 +268,10 @@ func matchJSON(t *testing.T, name string, v any, render func() ([]byte, error)) 
 	}
 }
 
-// BenchmarkSyntheticData times the three post-release steps of
-// /v1/synthetic at the NLTCS shape (d=16, k=2 Fourier, ε=1): round
-// apportions the materialised vector into counts, sample draws the rows,
-// encode renders the response body.
+// BenchmarkSyntheticData times the post-release steps of /v1/synthetic at
+// the NLTCS shape (d=16, k=2 Fourier, ε=1): round apportions the
+// materialised vector into counts, sample-cells shuffles one cell index per
+// row, and encode-rows renders the response body from those cells.
 func BenchmarkSyntheticData(b *testing.B) {
 	schema := dataset.NLTCSSchema()
 	tab := dataset.SyntheticNLTCS(1, dataset.NLTCSTupleCount)
@@ -293,8 +293,7 @@ func BenchmarkSyntheticData(b *testing.B) {
 		b.Fatal(err)
 	}
 	counts := synth.RoundToCounts(xhat)
-	syn, _ := synth.SampleTuples(schema, counts, 5)
-	body := syntheticBody{Strategy: res.Strategy, Count: syn.Count(), Rows: syn.Rows}
+	cells, _ := synth.SampleCells(schema, counts, 5)
 
 	b.Run("round", func(b *testing.B) {
 		b.ReportAllocs()
@@ -302,16 +301,16 @@ func BenchmarkSyntheticData(b *testing.B) {
 			synth.RoundToCounts(xhat)
 		}
 	})
-	b.Run("sample", func(b *testing.B) {
+	b.Run("sample-cells", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			synth.SampleTuples(schema, counts, 5)
+			synth.SampleCells(schema, counts, 5)
 		}
 	})
-	b.Run("encode", func(b *testing.B) {
+	b.Run("encode-rows", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := encodeSyntheticBody(body); err != nil {
+			if _, err := encodeSyntheticRows(res.Strategy, schema, cells); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -15,7 +15,8 @@ import (
 // request carries a fresh seed, so each one misses the result cache,
 // charges the ledger and runs measure, recover, consist and encode over the
 // memoized S·x. NLTCS variants (d=16, 21,576 tuples): Fourier k=2 and k=3
-// releases and an order-2 cube. Adult variants (2^23 cells, 32,561 tuples),
+// releases, an order-2 cube, and a k=2 synthetic sample (≈30k rows at ε=1,
+// a ≈1 MB body). Adult variants (2^23 cells, 32,561 tuples),
 // the three request shapes of dpbench's adult-sweep: Fourier and Workload
 // k=2 releases and an order-2 cube. The ledger grows by one charge per
 // iteration, as it does in a long-running daemon.
@@ -28,6 +29,7 @@ func BenchmarkServerMiss(b *testing.B) {
 		{"fourier-k2", "/v1/release", `{"dataset_id":"d","workload":{"k":2},"epsilon":1,"seed":`, false},
 		{"fourier-k3", "/v1/release", `{"dataset_id":"d","workload":{"k":3},"epsilon":1,"seed":`, false},
 		{"cube-order2", "/v1/cube", `{"dataset_id":"d","max_order":2,"epsilon":1,"seed":`, false},
+		{"nltcs-synthetic-k2", "/v1/synthetic", `{"dataset_id":"d","workload":{"k":2},"epsilon":1,"synthetic_seed":5,"seed":`, false},
 		{"adult-fourier-k2", "/v1/release", `{"dataset_id":"d","workload":{"k":2},"epsilon":1,"seed":`, true},
 		{"adult-workload-k2", "/v1/release", `{"dataset_id":"d","strategy":"workload","workload":{"k":2},"epsilon":1,"seed":`, true},
 		{"adult-cube-order2", "/v1/cube", `{"dataset_id":"d","max_order":2,"epsilon":1,"seed":`, true},

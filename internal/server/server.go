@@ -925,17 +925,13 @@ var syntheticEndpoint = &endpoint{
 	render: func(ctx context.Context, rel *repro.Releaser, req *releaseRequest, res *repro.Result) ([]byte, error) {
 		// Sampling is free post-processing: no further ledger spend.
 		ssp := telemetry.TraceFrom(ctx).Root().Start("sample")
-		syn, err := rel.Synthetic(ctx, res, req.SyntheticSeed)
+		cells, err := rel.SyntheticCells(ctx, res, req.SyntheticSeed)
 		ssp.End()
 		if err != nil {
 			return nil, err
 		}
 		defer startEncode(ctx).End()
-		rows := syn.Rows
-		if rows == nil {
-			rows = [][]int{}
-		}
-		return encodeSyntheticBody(syntheticBody{Strategy: res.Strategy, Count: syn.Count(), Rows: rows})
+		return encodeSyntheticRows(res.Strategy, rel.Schema(), cells)
 	},
 }
 
@@ -1724,32 +1720,39 @@ func (s *Server) chargeTraced(r *http.Request, rel *repro.Releaser, req *release
 // debug_timing trace is spliced the same way: per response, never into the
 // cached payload, so timing (like budget) stays live while the noised
 // bytes stay shared.
+//
+// The payload is written as it is, without its closing brace, and then the
+// tail `,"budget":…[,"timing":…]}` and a newline from pooled scratch, so
+// serving a body costs no copy of it. The tail is rendered before anything
+// is written, so a budget that cannot be rendered still gets a clean error
+// response. payload is shared by every hit on its cache entry and must
+// never be appended to: payload[:len(payload)-1] has the cached brace in
+// its capacity.
 func (s *Server) writeSpliced(w http.ResponseWriter, r *http.Request, payload []byte) {
-	var (
-		tb  []byte
-		err error
-	)
-	if tr := telemetry.TraceFrom(r.Context()); tr.Detail() {
-		if tb, err = json.Marshal(tr.Tree()); err != nil {
-			s.fail(w, r, err)
-			return
-		}
-	}
-	buf := make([]byte, 0, len(payload)+budgetLen+len(tb)+24)
-	buf = append(buf, payload[:len(payload)-1]...)
-	buf = append(buf, `,"budget":`...)
-	if buf, err = appendBudgetJSON(buf, s.budgetFor(apiKeyFrom(r.Context()))); err != nil {
+	tp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(tp)
+	tail := append((*tp)[:0], `,"budget":`...)
+	tail, err := appendBudgetJSON(tail, s.budgetFor(apiKeyFrom(r.Context())))
+	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	if tb != nil {
-		buf = append(buf, `,"timing":`...)
-		buf = append(buf, tb...)
+	if tr := telemetry.TraceFrom(r.Context()); tr.Detail() {
+		tb, err := json.Marshal(tr.Tree())
+		if err != nil {
+			s.fail(w, r, err)
+			return
+		}
+		tail = append(tail, `,"timing":`...)
+		tail = append(tail, tb...)
 	}
-	buf = append(buf, '}', '\n')
+	tail = append(tail, '}', '\n')
+	*tp = tail
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
+	if _, err := w.Write(payload[:len(payload)-1]); err == nil {
+		_, _ = w.Write(tail)
+	}
 }
 
 // release runs the mechanism over whichever data source the request

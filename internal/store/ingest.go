@@ -215,6 +215,9 @@ func readHeader(br *bufio.Reader, lineNo *int64, maxLine int) (*dataset.Schema, 
 		if err := dec.Decode(&hdr); err != nil {
 			return nil, fmt.Errorf("%w: line %d: bad schema header: %v", ErrInvalidDataset, *lineNo, err)
 		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("%w: line %d: bad schema header: trailing data after the object", ErrInvalidDataset, *lineNo)
+		}
 		if len(hdr.Schema) == 0 {
 			return nil, fmt.Errorf("%w: line %d: schema header names no attributes", ErrInvalidDataset, *lineNo)
 		}

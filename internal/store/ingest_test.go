@@ -107,6 +107,7 @@ func TestIngestEdgeCases(t *testing.T) {
 		{name: "blank lines only", body: "\n\n  \n", want: "empty body"},
 		{name: "missing header", body: "[0,1,2]\n", want: "schema header"},
 		{name: "header names no attributes", body: `{"schema":[]}` + "\n", want: "no attributes"},
+		{name: "header with trailing data", body: testHeader + " [0,1,2]\n", want: "trailing data"},
 		{name: "bad header cardinality", body: `{"schema":[{"name":"a","cardinality":0}]}` + "\n", want: "cardinality"},
 		{name: "truncated final line", body: testHeader + "\n[0,1,2]\n[1,0", want: "line 3"},
 		{name: "out-of-range value mid-stream", body: testHeader + "\n[0,1,2]\n[0,1,9]\n[1,0,0]\n", want: "out of range"},

@@ -10,12 +10,20 @@
 // yields an integral, non-negative table whose marginals approximate the
 // released ones; SampleTuples turns it back into row-level synthetic data.
 //
-// Cost model: beyond MaterializeVector's one transform, both steps are
-// linear. RoundToCounts finds the winning remainders by selection and
-// falls back to a full sort only when a tie straddles the boundary;
-// SampleTuples shuffles one int32 cell index per row and decodes the rows,
-// in their final order, into one backing array. Both reproduce the
-// historical sort-and-copy implementations bit for bit (see oracle_test.go).
+// Cost model: beyond MaterializeVector's one transform, every step is
+// linear. RoundToCounts floors each cell once and finds the winning
+// remainders by selection, falling back to a full sort only when a tie
+// straddles the boundary. SampleCells shuffles one int32 cell index per
+// row; DecodeRows turns those into rows, in their final order, in one
+// backing array. SampleTuples is SampleCells followed by DecodeRows, and
+// all of them reproduce the historical sort-and-copy implementations bit
+// for bit (see oracle_test.go).
+//
+// Rows need not be decoded at all. A caller that only renders them, as
+// the server's /v1/synthetic does, keeps the 4-byte cell index of each row
+// and reads its attributes by shift and mask: at the NLTCS shape (16
+// attributes) that is 4 bytes per row instead of the 152 a decoded row
+// costs (a 24-byte slice header and sixteen 8-byte ints).
 package synth
 
 import (
@@ -24,6 +32,7 @@ import (
 	"math"
 	mathbits "math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/dataset"
@@ -58,17 +67,19 @@ func MaterializeVector(d int, coeff map[bits.Mask]float64) ([]float64, error) {
 // (largest-remainder apportionment after clamping). The result is a valid
 // contingency table.
 //
-// It runs in linear time: the m units left after flooring go to the m
-// largest fractional remainders, found by selecting the m-th largest
-// remainder θ rather than sorting them all. When a tie at θ straddles the
-// boundary, which of the tied cells wins is decided by the same pdqsort
-// order a full sort of the remainders gives, so the counts never depend on
-// which path ran.
+// It runs in linear time and floors each cell once: the m units left after
+// flooring go to the m largest fractional remainders, found by selecting
+// the m-th largest remainder θ among the ones the flooring pass kept rather
+// than sorting them all. When a tie at θ straddles the boundary, which of
+// the tied cells wins is decided by the same pdqsort order a full sort of
+// the remainders gives, so the counts never depend on which path ran.
 func RoundToCounts(x []float64) []int64 {
 	out := make([]int64, len(x))
+	rp := remainders.Get().(*[]float64)
+	defer remainders.Put(rp)
+	rem := (*rp)[:0]
 	total := 0.0
 	var assigned int64
-	nfrac := 0
 	for i, v := range x {
 		if v > 0 {
 			total += v
@@ -76,17 +87,18 @@ func RoundToCounts(x []float64) []int64 {
 			out[i] = int64(fl)
 			assigned += int64(fl)
 			if v > fl {
-				nfrac++
+				rem = append(rem, v-fl)
 			}
 		}
 	}
+	*rp = rem
 	target := int64(math.Round(total))
 	if target < 0 {
 		target = 0
 	}
-	if m := target - assigned; m > 0 && nfrac > 0 {
-		k := int(min(m, int64(nfrac)))
-		apportion(x, out, nfrac, k)
+	if m := target - assigned; m > 0 && len(rem) > 0 {
+		k := int(min(m, int64(len(rem))))
+		apportion(x, out, rem, k)
 		assigned += int64(k)
 	}
 	// If clamping removed too much mass relative to the rounded target,
@@ -98,27 +110,21 @@ func RoundToCounts(x []float64) []int64 {
 	return out
 }
 
+// remainders recycles RoundToCounts' selection scratch: one float64 per
+// cell with a fractional remainder, needed only until the winners are
+// known.
+var remainders = sync.Pool{New: func() any { return new([]float64) }}
+
 // apportion adds one unit to each of the m cells of x with the largest
-// fractional remainders (0 < m ≤ nfrac, nfrac the number of cells with a
-// non-zero remainder).
-func apportion(x []float64, out []int64, nfrac, m int) {
-	rem := make([]float64, 0, nfrac)
-	for _, v := range x {
-		if f, ok := remainder(v); ok {
-			rem = append(rem, f)
-		}
-	}
-	theta := kthLargest(rem, m)
-	atLeast := 0
-	for _, f := range rem {
-		if f >= theta {
-			atLeast++
-		}
-	}
+// fractional remainders (0 < m ≤ len(rem)). out holds the floors of x, and
+// rem the non-zero remainders of its positive cells in cell order; rem is
+// overwritten.
+func apportion(x []float64, out []int64, rem []float64, m int) {
+	theta, atLeast := selectRemainder(rem, m)
 	if atLeast == m {
 		// The winners are exactly the remainders ≥ θ.
 		for i, v := range x {
-			if f, ok := remainder(v); ok && f >= theta {
+			if remainder(v, out[i]) >= theta {
 				out[i]++
 			}
 		}
@@ -133,9 +139,9 @@ func apportion(x []float64, out []int64, nfrac, m int) {
 		idx int
 		f   float64
 	}
-	fracs := make([]frac, 0, nfrac)
+	fracs := make([]frac, 0, len(rem))
 	for i, v := range x {
-		if f, ok := remainder(v); ok {
+		if f := remainder(v, out[i]); f > 0 {
 			fracs = append(fracs, frac{i, f})
 		}
 	}
@@ -145,14 +151,52 @@ func apportion(x []float64, out []int64, nfrac, m int) {
 	}
 }
 
-// remainder returns the fractional part of v clamped at zero, and whether
-// it is non-zero.
-func remainder(v float64) (float64, bool) {
-	if !(v > 0) {
-		return 0, false
+// remainder returns the fractional part of v from fl, the floor
+// RoundToCounts stored for it (0 where v is not positive), or 0 where v
+// has none or is not positive. v - fl is exactly v - math.Floor(v)
+// wherever int64 holds the floor; at and above 2^63, where it does not,
+// every double is integral, and the difference is 0 or, from an
+// overflowed floor, at least 1.
+func remainder(v float64, fl int64) float64 {
+	if f := v - float64(fl); f > 0 && f < 1 {
+		return f
 	}
-	fl := math.Floor(v)
-	return v - fl, v > fl
+	return 0
+}
+
+// remainderBuckets is the resolution at which selectRemainder narrows the
+// search: remainder f falls in bucket ⌊f·remainderBuckets⌋, exactly, since
+// the scale is a power of two.
+const remainderBuckets = 1 << 11
+
+// selectRemainder returns θ, the m-th largest of rem (values in (0, 1),
+// 1 ≤ m ≤ len(rem)), and how many values are ≥ θ, overwriting rem.
+//
+// Buckets are monotone, so every value in a higher bucket is larger than
+// every value in a lower one: one histogram pass finds the bucket that
+// holds θ, and the quickselect runs over that bucket's values only.
+func selectRemainder(rem []float64, m int) (theta float64, atLeast int) {
+	var hist [remainderBuckets]int32
+	for _, f := range rem {
+		hist[int(f*remainderBuckets)]++
+	}
+	j := remainderBuckets - 1
+	for ; atLeast+int(hist[j]) < m; j-- {
+		atLeast += int(hist[j])
+	}
+	in := rem[:0]
+	for _, f := range rem {
+		if int(f*remainderBuckets) == j {
+			in = append(in, f)
+		}
+	}
+	theta = kthLargest(in, m-atLeast)
+	for _, f := range in {
+		if f >= theta {
+			atLeast++
+		}
+	}
+	return theta, atLeast
 }
 
 // kthLargest returns the k-th largest value of a (1 ≤ k ≤ len(a), no NaN),
@@ -207,29 +251,29 @@ func median3(a, b, c float64) float64 {
 
 // SampleTuples draws row-level synthetic data from integer counts under a
 // schema: every unit of count becomes one tuple, emitted in random order.
-// Counts on invalid (padding) cells are skipped and reported.
-//
-// The cost is linear in the domain plus the rows emitted, with a constant
-// number of allocations: one int32 cell index per row is shuffled, then the
-// rows are decoded in their final order into a single backing array, each
-// row a capacity-capped view of it (appending to one never overwrites its
-// neighbour).
+// Counts on invalid (padding) cells are skipped and reported. It is
+// SampleCells followed by DecodeRows.
 func SampleTuples(s *dataset.Schema, counts []int64, seed int64) (*dataset.Table, int64) {
+	cells, skipped := SampleCells(s, counts, seed)
+	return &dataset.Table{Schema: s, Rows: DecodeRows(s, cells)}, skipped
+}
+
+// SampleCells draws the rows SampleTuples would, as the packed cell index
+// of each row in emitted order (Schema.Decode of entry k is row k), and the
+// count skipped on invalid (padding) cells.
+//
+// The cost is linear in the domain plus the rows emitted, in one
+// allocation: one int32 per row, shuffled in place.
+func SampleCells(s *dataset.Schema, counts []int64, seed int64) ([]int32, int64) {
 	// noise.NewSource(seed) reproduces rand.New(rand.NewSource(seed))
 	// bit-for-bit, so the emitted row order is unchanged by routing the
 	// shuffle through the sanctioned Source (seedflow invariant); pinned by
 	// TestSampleTuplesBitStable.
 	rng := noise.NewSource(seed)
-	type field struct {
-		shift uint
-		mask  int
-		card  int
-	}
-	fields := make([]field, len(s.Attrs))
+	fields := fieldsOf(s)
 	padded := false // some attribute leaves codes unused: validity needs checking
-	for i, a := range s.Attrs {
-		fields[i] = field{uint(s.Offset(i)), 1<<uint(a.BitWidth()) - 1, a.Cardinality}
-		padded = padded || fields[i].mask+1 != a.Cardinality
+	for _, f := range fields {
+		padded = padded || f.mask+1 != f.card
 	}
 	var positive int64
 	for _, c := range counts {
@@ -262,20 +306,45 @@ cell:
 	// permuting cell indices permutes rows exactly as shuffling the decoded
 	// rows would.
 	rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
-	var rows [][]int
-	if len(cells) > 0 {
-		d := len(fields)
-		buf := make([]int, len(cells)*d)
-		rows = make([][]int, len(cells))
-		for k, c := range cells {
-			row := buf[k*d : (k+1)*d : (k+1)*d]
-			for i := range row {
-				row[i] = int(c) >> fields[i].shift & fields[i].mask
-			}
-			rows[k] = row
-		}
+	return cells, skipped
+}
+
+// DecodeRows decodes packed cell indices under s into rows, nil when there
+// are none. The rows share one backing array of len(cells) × attributes
+// ints, each row a capacity-capped view of it (appending to one never
+// overwrites its neighbour).
+func DecodeRows(s *dataset.Schema, cells []int32) [][]int {
+	if len(cells) == 0 {
+		return nil
 	}
-	return &dataset.Table{Schema: s, Rows: rows}, skipped
+	fields := fieldsOf(s)
+	d := len(fields)
+	buf := make([]int, len(cells)*d)
+	rows := make([][]int, len(cells))
+	for k, c := range cells {
+		row := buf[k*d : (k+1)*d : (k+1)*d]
+		for i := range row {
+			row[i] = int(c) >> fields[i].shift & fields[i].mask
+		}
+		rows[k] = row
+	}
+	return rows
+}
+
+// field locates one attribute in a packed cell index: its code is
+// idx>>shift & mask, valid below card.
+type field struct {
+	shift uint
+	mask  int
+	card  int
+}
+
+func fieldsOf(s *dataset.Schema) []field {
+	fields := make([]field, len(s.Attrs))
+	for i, a := range s.Attrs {
+		fields[i] = field{uint(s.Offset(i)), 1<<uint(a.BitWidth()) - 1, a.Cardinality}
+	}
+	return fields
 }
 
 // MarginalL1 computes the L1 distance between a marginal of the synthetic

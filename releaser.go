@@ -10,6 +10,7 @@ import (
 	"repro/internal/accountant"
 	"repro/internal/engine"
 	"repro/internal/noise"
+	"repro/internal/synth"
 	"repro/internal/vector"
 )
 
@@ -452,18 +453,34 @@ func (r *Releaser) ReleaseDataset(ctx context.Context, h *DatasetHandle, spec Re
 }
 
 // Synthetic converts a consistent release from this Releaser into row-level
-// synthetic microdata (see SyntheticData for the output and its cost).
-// Post-processing adds no privacy cost: the ledger is not charged. ctx is
-// checked on entry and between materialising, apportioning and sampling, so
-// a cancelled caller stops paying after the step in progress.
+// synthetic microdata (see SyntheticData for the output and its cost): it
+// is SyntheticCells with every row decoded under the Releaser's schema.
 func (r *Releaser) Synthetic(ctx context.Context, res *Result, seed int64) (*Table, error) {
+	cells, err := r.SyntheticCells(ctx, res, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &Table{Schema: r.schema, Rows: synth.DecodeRows(r.schema, cells)}, nil
+}
+
+// SyntheticCells samples the rows Synthetic returns without decoding them:
+// entry k is the packed cell index of row k under the Releaser's schema
+// (Schema.Decode gives the row, and attribute i's value is the index
+// shifted right by Schema.Offset(i) and masked to its bit width). A caller
+// that only renders the rows keeps 4 bytes per row rather than a decoded
+// row's slice header and one int per attribute (152 bytes at NLTCS's 16
+// attributes). Post-processing adds no privacy cost: the ledger is not
+// charged. ctx is checked on entry and between materialising, apportioning
+// and sampling, so a cancelled caller stops paying after the step in
+// progress.
+func (r *Releaser) SyntheticCells(ctx context.Context, res *Result, seed int64) ([]int32, error) {
 	if r.schema == nil {
 		return nil, fmt.Errorf("%w: Releaser has no schema; synthetic data needs one", ErrInvalidOption)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return syntheticData(ctx, r.schema, r.w, res, seed)
+	return syntheticCells(ctx, r.schema, r.w, res, seed)
 }
 
 // EffectiveSigma describes one release at the spec's privacy parameters as
