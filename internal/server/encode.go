@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"math"
-	"math/bits"
 	"strconv"
 	"sync"
 
@@ -38,12 +36,10 @@ func encodeSyntheticRows(strategy string, schema *repro.Schema, cells []int32) (
 	row := 2 + max(2*len(fields)-1, 0)
 	size := len(`{"strategy":,"count":,"rows":[]}`) + len(name) + decimalLen(uint64(len(cells))) +
 		len(cells)*row + max(len(cells)-1, 0)
-	narrow := len(fields) > 0 // every code has one digit: all rows share one layout
 	for i, a := range schema.Attrs {
 		f := cellField{uint32(schema.Offset(i)), 1<<uint(a.BitWidth()) - 1}
 		fields[i] = f
 		if f.mask >= 10 {
-			narrow = false
 			for _, c := range cells {
 				size += decimalLen(uint64(f.code(c))) - 1
 			}
@@ -55,11 +51,7 @@ func encodeSyntheticRows(strategy string, schema *repro.Schema, cells []int32) (
 	dst = append(dst, `,"count":`...)
 	dst = strconv.AppendInt(dst, int64(len(cells)), 10)
 	dst = append(dst, `,"rows":[`...)
-	if narrow && len(cells) > 0 {
-		dst = appendNarrowRows(dst, fields, cells, row)
-	} else {
-		dst = appendRows(dst, fields, cells)
-	}
+	dst = appendRows(dst, fields, cells)
 	return append(dst, ']', '}'), nil
 }
 
@@ -88,66 +80,6 @@ func appendRows(dst []byte, fields []cellField, cells []int32) []byte {
 		dst = append(dst, ']')
 	}
 	return dst
-}
-
-// appendNarrowRows is appendRows for at least one row when every code has
-// one digit (every attribute at most 3 bits wide), so every row is row
-// bytes long. dst must have the capacity for all of them.
-//
-// Every four consecutive attributes then occupy at most 12 bits of the
-// index and exactly 8 bytes of the row, "d,d,d,d,": one lookup in a table
-// of those 8 bytes per value of the 12 bits, and one 8-byte store.
-// Attributes past the last group take one digit store each, and the row's
-// final comma becomes its closing bracket.
-func appendNarrowRows(dst []byte, fields []cellField, cells []int32, row int) []byte {
-	type group struct {
-		cellField
-		text []uint64
-	}
-	groups := make([]group, len(fields)/4)
-	size := 0
-	for g := range groups {
-		fs := fields[4*g : 4*g+4]
-		width := fs[3].shift + uint32(bits.Len32(fs[3].mask)) - fs[0].shift
-		groups[g].cellField = cellField{fs[0].shift, 1<<width - 1}
-		size += 1 << width
-	}
-	texts := make([]uint64, size) // every group's table, in one allocation
-	for g := range groups {
-		fs, gr := fields[4*g:4*g+4], &groups[g]
-		gr.text, texts = texts[:gr.mask+1], texts[gr.mask+1:]
-		for e := range gr.text {
-			var t uint64
-			for j, f := range fs {
-				code := uint64(uint32(e)>>(f.shift-gr.shift)&f.mask) + '0'
-				t |= (code | ','<<8) << (16 * j)
-			}
-			gr.text[e] = t
-		}
-	}
-	rest := fields[4*len(groups):]
-	n := len(cells)*(row+1) - 1
-	rows := dst[len(dst) : len(dst)+n]
-	q := 0
-	for _, c := range cells {
-		rows[q] = '['
-		q++
-		for _, g := range groups {
-			binary.LittleEndian.PutUint64(rows[q:], g.text[g.code(c)])
-			q += 8
-		}
-		for _, f := range rest {
-			rows[q] = byte('0' + f.code(c))
-			rows[q+1] = ','
-			q += 2
-		}
-		rows[q-1] = ']'
-		if q < n {
-			rows[q] = ','
-			q++
-		}
-	}
-	return dst[:len(dst)+n]
 }
 
 // decimalLen returns the number of decimal digits of u.

@@ -32,7 +32,6 @@ import (
 	"math"
 	mathbits "math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/bits"
 	"repro/internal/dataset"
@@ -69,17 +68,16 @@ func MaterializeVector(d int, coeff map[bits.Mask]float64) ([]float64, error) {
 //
 // It runs in linear time and floors each cell once: the m units left after
 // flooring go to the m largest fractional remainders, found by selecting
-// the m-th largest remainder θ among the ones the flooring pass kept rather
-// than sorting them all. When a tie at θ straddles the boundary, which of
-// the tied cells wins is decided by the same pdqsort order a full sort of
-// the remainders gives, so the counts never depend on which path ran.
+// the m-th largest remainder θ rather than sorting them all, and each
+// remainder is recovered from the floor the flooring pass stored. When a
+// tie at θ straddles the boundary, which of the tied cells wins is decided
+// by the same pdqsort order a full sort of the remainders gives, so the
+// counts never depend on which path ran.
 func RoundToCounts(x []float64) []int64 {
 	out := make([]int64, len(x))
-	rp := remainders.Get().(*[]float64)
-	defer remainders.Put(rp)
-	rem := (*rp)[:0]
 	total := 0.0
 	var assigned int64
+	nfrac := 0
 	for i, v := range x {
 		if v > 0 {
 			total += v
@@ -87,18 +85,17 @@ func RoundToCounts(x []float64) []int64 {
 			out[i] = int64(fl)
 			assigned += int64(fl)
 			if v > fl {
-				rem = append(rem, v-fl)
+				nfrac++
 			}
 		}
 	}
-	*rp = rem
 	target := int64(math.Round(total))
 	if target < 0 {
 		target = 0
 	}
-	if m := target - assigned; m > 0 && len(rem) > 0 {
-		k := int(min(m, int64(len(rem))))
-		apportion(x, out, rem, k)
+	if m := target - assigned; m > 0 && nfrac > 0 {
+		k := int(min(m, int64(nfrac)))
+		apportion(x, out, nfrac, k)
 		assigned += int64(k)
 	}
 	// If clamping removed too much mass relative to the rounded target,
@@ -110,17 +107,23 @@ func RoundToCounts(x []float64) []int64 {
 	return out
 }
 
-// remainders recycles RoundToCounts' selection scratch: one float64 per
-// cell with a fractional remainder, needed only until the winners are
-// known.
-var remainders = sync.Pool{New: func() any { return new([]float64) }}
-
 // apportion adds one unit to each of the m cells of x with the largest
-// fractional remainders (0 < m ≤ len(rem)). out holds the floors of x, and
-// rem the non-zero remainders of its positive cells in cell order; rem is
-// overwritten.
-func apportion(x []float64, out []int64, rem []float64, m int) {
-	theta, atLeast := selectRemainder(rem, m)
+// fractional remainders (0 < m ≤ nfrac, nfrac the number of cells with a
+// non-zero remainder). out holds the floors of x.
+func apportion(x []float64, out []int64, nfrac, m int) {
+	rem := make([]float64, 0, nfrac)
+	for i, v := range x {
+		if f := remainder(v, out[i]); f > 0 {
+			rem = append(rem, f)
+		}
+	}
+	theta := kthLargest(rem, m)
+	atLeast := 0
+	for _, f := range rem {
+		if f >= theta {
+			atLeast++
+		}
+	}
 	if atLeast == m {
 		// The winners are exactly the remainders ≥ θ.
 		for i, v := range x {
@@ -139,7 +142,7 @@ func apportion(x []float64, out []int64, rem []float64, m int) {
 		idx int
 		f   float64
 	}
-	fracs := make([]frac, 0, len(rem))
+	fracs := make([]frac, 0, nfrac)
 	for i, v := range x {
 		if f := remainder(v, out[i]); f > 0 {
 			fracs = append(fracs, frac{i, f})
@@ -162,41 +165,6 @@ func remainder(v float64, fl int64) float64 {
 		return f
 	}
 	return 0
-}
-
-// remainderBuckets is the resolution at which selectRemainder narrows the
-// search: remainder f falls in bucket ⌊f·remainderBuckets⌋, exactly, since
-// the scale is a power of two.
-const remainderBuckets = 1 << 11
-
-// selectRemainder returns θ, the m-th largest of rem (values in (0, 1),
-// 1 ≤ m ≤ len(rem)), and how many values are ≥ θ, overwriting rem.
-//
-// Buckets are monotone, so every value in a higher bucket is larger than
-// every value in a lower one: one histogram pass finds the bucket that
-// holds θ, and the quickselect runs over that bucket's values only.
-func selectRemainder(rem []float64, m int) (theta float64, atLeast int) {
-	var hist [remainderBuckets]int32
-	for _, f := range rem {
-		hist[int(f*remainderBuckets)]++
-	}
-	j := remainderBuckets - 1
-	for ; atLeast+int(hist[j]) < m; j-- {
-		atLeast += int(hist[j])
-	}
-	in := rem[:0]
-	for _, f := range rem {
-		if int(f*remainderBuckets) == j {
-			in = append(in, f)
-		}
-	}
-	theta = kthLargest(in, m-atLeast)
-	for _, f := range in {
-		if f >= theta {
-			atLeast++
-		}
-	}
-	return theta, atLeast
 }
 
 // kthLargest returns the k-th largest value of a (1 ≤ k ≤ len(a), no NaN),

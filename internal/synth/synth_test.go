@@ -3,8 +3,6 @@ package synth
 import (
 	"math"
 	"math/rand"
-	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/bits"
@@ -236,41 +234,5 @@ func TestSampleTuplesAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(3, func() { SampleTuples(s, counts, 5) }); got > 16 {
 		t.Fatalf("SampleTuples: %v allocs/op, want ≤ 16", got)
-	}
-}
-
-// TestSelectRemainderMatchesSort: the bucketed selection returns the m-th
-// largest remainder and the count of remainders at or above it, as a sort
-// does, on both sides of its size threshold and on distributions that
-// crowd one bucket: uniform, squeezed towards 0, long runs of exact ties,
-// and a single repeated value.
-func TestSelectRemainderMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	gens := map[string]func() float64{
-		"uniform":  func() float64 { return 1 - rng.Float64() },
-		"squeezed": func() float64 { return math.Pow(1-rng.Float64(), 40) },
-		"quarters": func() float64 { return float64(1+rng.Intn(3)) / 4 },
-		"constant": func() float64 { return 0.375 },
-	}
-	for name, gen := range gens {
-		for _, n := range []int{1, 7, 4*remainderBuckets - 1, 4 * remainderBuckets, 30000} {
-			rem := make([]float64, n)
-			for i := range rem {
-				rem[i] = gen()
-			}
-			sorted := slices.Clone(rem)
-			slices.Sort(sorted)
-			for _, m := range []int{1, 2, n / 3, n / 2, n - 1, n} {
-				if m < 1 || m > n {
-					continue
-				}
-				want := sorted[n-m]
-				wantAt := n - sort.SearchFloat64s(sorted, want)
-				theta, atLeast := selectRemainder(slices.Clone(rem), m)
-				if theta != want || atLeast != wantAt {
-					t.Errorf("%s n=%d m=%d: θ=%v, %d at or above; want %v, %d", name, n, m, theta, atLeast, want, wantAt)
-				}
-			}
-		}
 	}
 }
